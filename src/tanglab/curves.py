@@ -14,19 +14,21 @@ interior by a rightward vee c2 gives LR (c2 above = left of c1; c1 below
 c2's rightward-then-leftward arcs = right of c2... the vee travels through
 its apex, and the line sits on its right).
 
-Internally, pairwise scans rescale both chains to a common integer grid so
-the orientation arithmetic runs on plain ints; results are exact Fractions.
+One integer kernel, `_pair_points_int`, decides every segment predicate,
+for pairs of chains and for `PolyChain.is_simple` alike, on a common
+integer grid; reported points are exact Fractions.  A family caches its
+contact map and its validation report, and xmono reads that map.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .geom import GeometryError, Point, Segment, format_rat, on_segment, orient, pt
+from .geom import GeometryError, Point, Segment, format_rat, on_segment
 
 
 class DegeneracyError(GeometryError):
@@ -104,10 +106,7 @@ class PolyChain:
     @property
     def scale(self) -> int:
         if self._scale is None:
-            s = 1
-            for v in self.vertices:
-                s = lcm(s, v.x.denominator, v.y.denominator)
-            self._scale = s
+            self._scale = lcm(*(d for v in self.vertices for d in (v.x.denominator, v.y.denominator)))
         return self._scale
 
     def scaled_segments(self, scale: int) -> list:
@@ -115,21 +114,7 @@ class PolyChain:
         sorted by minx.  `scale` must be a multiple of self.scale."""
         segs = self._scaled.get(scale)
         if segs is None:
-            ints = [
-                (int(v.x * scale), int(v.y * scale)) for v in self.vertices
-            ]
-            segs = []
-            for (ax, ay), (bx, by) in zip(ints, ints[1:]):
-                if ax <= bx:
-                    minx, maxx = ax, bx
-                else:
-                    minx, maxx = bx, ax
-                if ay <= by:
-                    miny, maxy = ay, by
-                else:
-                    miny, maxy = by, ay
-                segs.append((minx, maxx, miny, maxy, ax, ay, bx, by))
-            segs.sort(key=lambda s: s[0])
+            segs = sorted(_int_segments(self.vertices, scale), key=lambda s: s[0])
             if len(self._scaled) > 4:  # keep the cache tiny
                 self._scaled.clear()
             self._scaled[scale] = segs
@@ -137,29 +122,38 @@ class PolyChain:
 
     def is_simple(self) -> bool:
         """No self-intersections: non-adjacent edges disjoint, adjacent edges
-        meeting only at the shared vertex (no turn-backs)."""
-        edges = self.edges()
-        n = len(edges)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = edges[i], edges[j]
-                if j == i + 1:
-                    # shared vertex only; a turn-back makes the arcs collinear
-                    da = (a.a.x - a.b.x, a.a.y - a.b.y)
-                    db = (b.b.x - b.a.x, b.b.y - b.a.y)
-                    if da[0] * db[1] - da[1] * db[0] == 0 and da[0] * db[0] + da[1] * db[1] > 0:
-                        return False
-                    continue
-                from .geom import OverlapError, segment_intersect
-
+        meeting only at the shared vertex (no turn-backs, which the pair
+        kernel reports as an overlap)."""
+        scale = self.scale
+        segs = sorted(enumerate(_int_segments(self.vertices, scale)), key=lambda e: e[1][0])
+        for k, (i, s) in enumerate(segs):
+            for m in range(k + 1, len(segs)):
+                j, t = segs[m]
+                if t[0] > s[1]:
+                    break
                 try:
-                    p = segment_intersect(a, b)
-                except OverlapError:
+                    hits = _pair_points_int([s], [t], scale)
+                except DegeneracyError:
                     return False
-                if p is not None:
-                    # allowed only for a closed chain; we do not use those
+                if hits and abs(i - j) != 1:
                     return False
         return True
+
+
+def _int_segments(vertices: Sequence[Point], scale: int) -> list:
+    """Edges of a chain, in chain order, as the int tuples
+    (minx, maxx, miny, maxy, ax, ay, bx, by) of the grid scaled by `scale`,
+    a multiple of every vertex denominator."""
+    ints = [
+        (v.x.numerator * (scale // v.x.denominator), v.y.numerator * (scale // v.y.denominator))
+        for v in vertices
+    ]
+    segs = []
+    for (ax, ay), (bx, by) in zip(ints, ints[1:]):
+        minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
+        miny, maxy = (ay, by) if ay <= by else (by, ay)
+        segs.append((minx, maxx, miny, maxy, ax, ay, bx, by))
+    return segs
 
 
 # --- locating a point on a chain -----------------------------------------
@@ -204,10 +198,7 @@ def emanating_dirs(chain: PolyChain, p: Point) -> Tuple[str, List[Tuple[Fraction
     if kind == "end":
         v = verts[-2]
         return kind, [(v.x - p.x, v.y - p.y)]
-    if kind == "vertex":
-        a, b = verts[i - 1], verts[i + 1]
-        return kind, [(a.x - p.x, a.y - p.y), (b.x - p.x, b.y - p.y)]
-    a, b = verts[i], verts[i + 1]
+    a, b = verts[i - 1 if kind == "vertex" else i], verts[i + 1]
     return kind, [(a.x - p.x, a.y - p.y), (b.x - p.x, b.y - p.y)]
 
 
@@ -277,16 +268,19 @@ def _side_letter(c: PolyChain, other: PolyChain, p: Point) -> str:
 # --- pairwise common points -----------------------------------------------
 
 
-def _pair_points_int(segs1: list, segs2: list, scale: int) -> Dict[Point, bool]:
-    """Common points of two chains given their scaled segment lists, mapped to
-    True when the point is a strictly interior transversal crossing (which
-    needs no further classification).  Raises DegeneracyError on
-    positive-length overlap."""
-    out: Dict[Point, bool] = {}
+def _pair_points_int(segs1: list, segs2: list, scale: int) -> List[Tuple[Point, bool]]:
+    """Common points of two chains given their scaled segment lists, each
+    paired with True when the point is a strictly interior transversal
+    crossing (which needs no further classification).  Raises
+    DegeneracyError on positive-length overlap.  Points are keyed by their
+    reduced homogeneous int coordinates (x, y, w), w > 0, while scanning,
+    and become Fractions once at the end."""
+    out: Dict[Tuple[int, int, int], bool] = {}
     j_lo = 0
     n2 = len(segs2)
     for s1 in segs1:
         minx1, maxx1, miny1, maxy1, ax, ay, bx, by = s1
+        d1x, d1y = bx - ax, by - ay
         while j_lo < n2 and segs2[j_lo][1] < minx1:
             j_lo += 1
         j = j_lo
@@ -296,13 +290,16 @@ def _pair_points_int(segs1: list, segs2: list, scale: int) -> Dict[Point, bool]:
             if s2[2] > maxy1 or s2[3] < miny1:
                 continue
             cx, cy, dx_, dy_ = s2[4], s2[5], s2[6], s2[7]
-            # orientation tests on ints
-            d1x, d1y = bx - ax, by - ay
-            d2x, d2y = dx_ - cx, dy_ - cy
+            # orientation tests on ints; strictly one side means no contact
             o1 = d1x * (cy - ay) - d1y * (cx - ax)
             o2 = d1x * (dy_ - ay) - d1y * (dx_ - ax)
+            if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+                continue
+            d2x, d2y = dx_ - cx, dy_ - cy
             o3 = d2x * (ay - cy) - d2y * (ax - cx)
             o4 = d2x * (by - cy) - d2y * (bx - cx)
+            if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
+                continue
             if o1 == 0 and o2 == 0:
                 # collinear: overlap or single touch
                 pts = []
@@ -316,15 +313,16 @@ def _pair_points_int(segs1: list, segs2: list, scale: int) -> Dict[Point, bool]:
                     continue
                 if any(q != pts[0] for q in pts):
                     raise DegeneracyError("collinear overlap of positive length")
-                px, py = pts[0]
-                out[Point(Fraction(px, scale), Fraction(py, scale))] = False
+                out[pts[0] + (1,)] = False
                 continue
             if (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0) and 0 not in (o1, o2, o3, o4):
                 denom = d1x * d2y - d1y * d2x
                 tn = (cx - ax) * d2y - (cy - ay) * d2x
-                px = Fraction(ax * denom + tn * d1x, denom * scale)
-                py = Fraction(ay * denom + tn * d1y, denom * scale)
-                q = Point(px, py)
+                if denom < 0:
+                    denom, tn = -denom, -tn
+                px, py = ax * denom + tn * d1x, ay * denom + tn * d1y
+                g = gcd(px, py, denom)
+                q = (px // g, py // g, denom // g)
                 out[q] = q not in out
                 continue
             hit = None
@@ -337,8 +335,8 @@ def _pair_points_int(segs1: list, segs2: list, scale: int) -> Dict[Point, bool]:
             elif o4 == 0 and s2[0] <= bx <= s2[1] and s2[2] <= by <= s2[3]:
                 hit = (bx, by)
             if hit is not None:
-                out[Point(Fraction(hit[0], scale), Fraction(hit[1], scale))] = False
-    return out
+                out[hit + (1,)] = False
+    return [(Point(Fraction(x, w * scale), Fraction(y, w * scale)), pr) for (x, y, w), pr in out.items()]
 
 
 def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> List[Tuple[Point, str]]:
@@ -359,7 +357,7 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
         raise DegeneracyError(f"{c1.cid}/{c2.cid}: {e}") from None
     return [
         (p, "cross" if proper else classify_contact(c1, c2, p))
-        for p, proper in sorted(hits.items())
+        for p, proper in sorted(hits)
     ]
 
 
@@ -371,7 +369,8 @@ class CurveFamily:
 
     window: (lo, hi) abscissas; bi-infinite curves span exactly [lo, hi].
     ground: abscissa of a vertical ground line (grounded families).
-    Treated as immutable after construction; pairwise contacts are cached.
+    Treated as immutable after construction; the pairwise contact map and
+    the validation report are cached on first use.
     """
 
     def __init__(
@@ -392,6 +391,7 @@ class CurveFamily:
         self.bi_infinite = bool(bi_infinite)
         self._by_id = {c.cid: c for c in self.curves}
         self._contacts: Optional[Dict[Tuple[str, str], tuple]] = None
+        self._report: Optional[ValidationReport] = None
         self._scale: Optional[int] = None
 
     def __len__(self) -> int:
@@ -407,10 +407,7 @@ class CurveFamily:
     @property
     def scale(self) -> int:
         if self._scale is None:
-            s = 1
-            for c in self.curves:
-                s = lcm(s, c.scale)
-            self._scale = s
+            self._scale = lcm(*(c.scale for c in self.curves))
         return self._scale
 
     def contacts(self) -> Dict[Tuple[str, str], tuple]:
@@ -480,9 +477,16 @@ class ValidationReport:
         )
 
 
+def _point_key(p: Point) -> Tuple[int, int, int, int]:
+    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+
+
 def validate_family(family: CurveFamily) -> ValidationReport:
     """Full pairwise scan: simplicity, contact multiplicities, triple points,
-    window/ground discipline.  This is the oracle everything else trusts."""
+    window/ground discipline.  This is the oracle everything else trusts.
+    The report is kept on the family, so later calls return the same one."""
+    if family._report is not None:
+        return family._report
     non_simple = [c.cid for c in family.curves if not c.is_simple()]
     contacts = family.contacts()
     degenerate = []
@@ -492,8 +496,12 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     crossn = 0
     disj = 0
     precisely = True
-    point_owners: Dict[Point, set] = {}
-    for (i, j), (status, data) in contacts.items():
+    # points keyed by ints, which hash much faster than Fractions
+    ends = {c.cid: (_point_key(c.start), _point_key(c.end)) for c in family.curves}
+    first_pair: Dict[tuple, Tuple[str, str]] = {}  # point -> first pair through it
+    shared: Dict[Point, set] = {}  # points of several pairs -> their curves
+    for pair, (status, data) in contacts.items():
+        i, j = pair
         if status == "degenerate":
             degenerate.append((i, j, data))
             precisely = False
@@ -512,41 +520,26 @@ def validate_family(family: CurveFamily) -> ValidationReport:
             else:
                 crossn += 1
         for p, kind in pts:
-            point_owners.setdefault(p, set()).update((i, j))
-            ci, cj = family.curve(i), family.curve(j)
-            if p in (ci.start, ci.end, cj.start, cj.end):
+            key = _point_key(p)
+            first = first_pair.setdefault(key, pair)
+            if first != pair:
+                shared.setdefault(p, set(first)).update(pair)
+            if key in ends[i] or key in ends[j]:
                 endpointish.append((i, j, p))
-    triples = sorted(
-        (p, tuple(sorted(owners)))
-        for p, owners in point_owners.items()
-        if len(owners) >= 3
-    )
+    # two different pairs through one point make at least three curves
+    triples = sorted((p, tuple(sorted(owners))) for p, owners in shared.items())
 
     all_mono = all(c.is_x_monotone() for c in family.curves)
-    bi_ok = False
-    if family.window is not None:
-        lo, hi = family.window
-        bi_ok = all(c.start.x == lo and c.end.x == hi for c in family.curves)
-    grounded_ok = False
-    if family.ground is not None:
-        g = family.ground
-        grounded_ok = True
-        for c in family.curves:
-            if c.start.x != g:
-                grounded_ok = False
-                break
-            # the rest of the chain must stay strictly right of the ground line
-            if any(v.x <= g for v in c.vertices[1:]):
-                grounded_ok = False
-                break
-
-    is_one = (
-        not degenerate
-        and not multi
-        and not triples
-        and not non_simple
+    w = family.window
+    bi_ok = w is not None and all(c.start.x == w[0] and c.end.x == w[1] for c in family.curves)
+    # each chain starts on the ground line and then stays strictly right of it
+    g = family.ground
+    grounded_ok = g is not None and all(
+        c.start.x == g and all(v.x > g for v in c.vertices[1:]) for c in family.curves
     )
-    return ValidationReport(
+
+    is_one = not (degenerate or multi or triples or non_simple)
+    family._report = ValidationReport(
         n=len(family),
         is_1_intersecting=is_one,
         is_precisely_1=is_one and precisely,
@@ -562,6 +555,7 @@ def validate_family(family: CurveFamily) -> ValidationReport:
         crossing_count=crossn,
         disjoint_count=disj,
     )
+    return family._report
 
 
 @dataclass
@@ -618,7 +612,7 @@ def tangency_graph(family: CurveFamily, strict: bool = True) -> TangencyGraph:
     for (i, j), (status, data) in contacts.items():
         if status == "degenerate":
             if strict:
-                raise DegeneracyError(f"{i}/{j}: {data}")
+                raise DegeneracyError(data)  # the stored message names the pair
             continue
         if strict and len(data) > 1:
             raise DegeneracyError(f"{i}/{j}: {len(data)} common points; not 1-intersecting")
@@ -635,7 +629,7 @@ def subchain(chain: PolyChain, p: Point, q: Optional[Point] = None, cid: Optiona
     in chain order.  p must come before q along the chain."""
     pos_p = chain_position(chain, p)
     if q is None:
-        qkind, pos_q = "end", (len(chain.vertices) - 2, Fraction(1))
+        pos_q = (len(chain.vertices) - 2, Fraction(1))
         q = chain.end
     else:
         pos_q = chain_position(chain, q)

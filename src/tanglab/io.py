@@ -7,8 +7,7 @@ on load and a mismatch is an error.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from .bipartite import BipartiteGraph
 from .curves import CurveFamily, PolyChain, validate_family
@@ -58,14 +57,14 @@ def load_family(path) -> CurveFamily:
     window = ground = None
     flags: List[str] = []
     chains: List[PolyChain] = []
+    seen_ids = set()
     i = 1
 
     def parse_rat(tok, lineno):
         try:
-            r = rat(tok)
+            return rat(tok)
         except (ValueError, ZeroDivisionError) as e:
             raise FormatError(path, lineno, f"bad rational {tok!r}: {e}") from None
-        return r
 
     n = len(raw)
     while i < n:
@@ -85,6 +84,9 @@ def load_family(path) -> CurveFamily:
                 flags.append(f)
         elif parts[0] == "curve" and len(parts) == 3:
             cid = parts[1]
+            if cid in seen_ids:
+                raise FormatError(path, i, f"duplicate curve id {cid!r}")
+            seen_ids.add(cid)
             try:
                 count = int(parts[2])
             except ValueError:
@@ -146,18 +148,19 @@ def save_graph(g: BipartiteGraph, path) -> None:
 
 def load_graph(path) -> BipartiteGraph:
     with open(path) as fh:
-        raw = [l.strip() for l in fh.read().splitlines() if l.strip() and not l.startswith("#")]
+        numbered = enumerate((l.strip() for l in fh.read().splitlines()), start=1)
+        raw = [(lineno, l) for lineno, l in numbered if l and not l.startswith("#")]
     if not raw:
         raise FormatError(path, 1, "empty graph file")
-    head = raw[0].split()
+    head_lineno, head = raw[0][0], raw[0][1].split()
     if len(head) != 4 or head[0] != "A" or head[2] != "B":
-        raise FormatError(path, 1, "expected header 'A <size> B <size>'")
+        raise FormatError(path, head_lineno, "expected header 'A <size> B <size>'")
     try:
         na, nb = int(head[1]), int(head[3])
     except ValueError:
-        raise FormatError(path, 1, "bad side sizes") from None
+        raise FormatError(path, head_lineno, "bad side sizes") from None
     edges = []
-    for lineno, line in enumerate(raw[1:], start=2):
+    for lineno, line in raw[1:]:
         toks = line.split()
         try:
             a, b = int(toks[0]), int(toks[1])

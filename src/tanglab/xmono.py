@@ -6,7 +6,8 @@ cutting search, and bi-infinite extension by steep rays.
 
 Everything sweeps over *event* abscissas — vertices and pairwise common
 points — and only ever evaluates curves at exact rational midpoints of
-event intervals, so all comparisons are exact.
+event intervals, so all comparisons are exact.  The common points of a
+family come from its cached contact map (`CurveFamily.contacts`).
 """
 
 from __future__ import annotations
@@ -15,17 +16,13 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .curves import CurveFamily, DegeneracyError, PolyChain, common_points, validate_family
-from .geom import Point, pt
+from .geom import Point
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
-
-
-def is_x_monotone(c: PolyChain) -> bool:
-    return c.is_x_monotone()
 
 
 def value_at(c: PolyChain, x: Fraction) -> Fraction:
@@ -49,15 +46,25 @@ def value_at(c: PolyChain, x: Fraction) -> Fraction:
     return a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
 
 
-def _event_xs(chains: Sequence[PolyChain], scale: Optional[int] = None) -> List[Fraction]:
-    xs: Set[Fraction] = set()
-    for c in chains:
-        for v in c.vertices:
-            xs.add(v.x)
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            for p, _ in common_points(chains[i], chains[j], scale):
-                xs.add(p.x)
+def _pair_points(family: CurveFamily) -> List[Tuple[Tuple[str, str], List[Point]]]:
+    """(id pair, common points) for every pair of an x-monotone family, read
+    from its cached contact map.  Raises ValueError on a chain that is not
+    x-monotone and DegeneracyError on a degenerate pair."""
+    for c in family.curves:
+        if not c.is_x_monotone():
+            raise ValueError(f"{c.cid} is not x-monotone")
+    out = []
+    for key, (status, data) in family.contacts().items():
+        if status == "degenerate":
+            raise DegeneracyError(data)
+        out.append((key, [p for p, _ in data]))
+    return out
+
+
+def _event_xs(family: CurveFamily, pairs) -> List[Fraction]:
+    """Vertex abscissas and those of the common points in `pairs`, sorted."""
+    xs: Set[Fraction] = {v.x for c in family.curves for v in c.vertices}
+    xs.update(p.x for _, pts in pairs for p in pts)
     return sorted(xs)
 
 
@@ -105,7 +112,7 @@ def lower_envelope(family: CurveFamily) -> List[EnvelopePiece]:
         hi = min(c.end.x for c in chains)
     if lo >= hi:
         raise ValueError("chains share no open x-interval")
-    xs = [x for x in _event_xs(chains, family.scale) if lo < x < hi]
+    xs = [x for x in _event_xs(family, _pair_points(family)) if lo < x < hi]
     bounds = [lo] + xs + [hi]
     pieces: List[EnvelopePiece] = []
     for a, b in zip(bounds, bounds[1:]):
@@ -121,13 +128,9 @@ def lower_envelope(family: CurveFamily) -> List[EnvelopePiece]:
 def vertical_visibility_pairs(family: CurveFamily) -> Set[Tuple[str, str]]:
     """Disjoint pairs that are vertically adjacent on some open event interval."""
     chains = family.curves
-    scale = family.scale
-    disjoint = set()
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            if not common_points(chains[i], chains[j], scale):
-                disjoint.add(frozenset((chains[i].cid, chains[j].cid)))
-    xs = _event_xs(chains, scale)
+    pairs = _pair_points(family)
+    disjoint = {frozenset(key) for key, pts in pairs if not pts}
+    xs = _event_xs(family, pairs)
     out: Set[Tuple[str, str]] = set()
     for a, b in zip(xs, xs[1:]):
         mid = (a + b) / 2
@@ -164,16 +167,10 @@ class Partition:
 
     def _build(self) -> None:
         chains = self.defining.curves
-        scale = self.defining.scale
         # event points: chain endpoints and pairwise common points
-        events: Set[Point] = set()
-        for c in chains:
-            events.add(c.start)
-            events.add(c.end)
-        for i in range(len(chains)):
-            for j in range(i + 1, len(chains)):
-                for p, _ in common_points(chains[i], chains[j], scale):
-                    events.add(p)
+        events: Set[Point] = {e for c in chains for e in (c.start, c.end)}
+        for _, pts in _pair_points(self.defining):
+            events.update(pts)
         xs = sorted({p.x for p in events})
         self.xs = xs
         self.events_by_x: Dict[Fraction, List[Fraction]] = {}
@@ -345,7 +342,6 @@ def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
     meets: Dict[int, Set[str]] = {}
     short: Dict[int, Set[str]] = {}
     xs = partition.xs
-    scale = None
     for c in family.curves:
         lo, hi = c.start.x, c.end.x
         bps = {lo, hi}
@@ -499,7 +495,7 @@ def biinfinite_extend(
         ok = True
         for key, (status, data) in out.contacts().items():
             if status == "degenerate":
-                ok, last_error = False, f"{key}: {data}"
+                ok, last_error = False, data
                 break
             prev = before[key]
             if prev is None or len(data) > prev + 2:

@@ -10,6 +10,9 @@ from fractions import Fraction
 from itertools import combinations
 import random
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from tanglab import (
     CurveFamily,
     PolyChain,
@@ -158,7 +161,62 @@ def random_bipartite_graph(seed, max_side=40, p=None):
     return BipartiteGraph(range(na), range(nb), edges)
 
 
+@st.composite
+def degenerate_chains(draw):
+    """Chains of 2-7 vertices on a small grid, divided by a rational so the
+    integer rescaling is exercised.  Each vertex after the first is either
+    free or forces a degeneracy: a turn-back onto the last edge, a vertex on
+    an earlier edge, a collinear continuation, a revisit of an earlier
+    vertex, or a vertical edge."""
+    coord = st.integers(min_value=0, max_value=4)
+    verts = [(F(draw(coord)), F(draw(coord)))]
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        (bx, by) = verts[-1]
+        moves = ["free", "vertical"]
+        if len(verts) >= 2:
+            moves += ["turn-back", "continue", "revisit"]
+        if len(verts) >= 3:
+            moves.append("on-edge")
+        move = draw(st.sampled_from(moves))
+        if move == "free":
+            v = (F(draw(coord)), F(draw(coord)))
+        elif move == "vertical":
+            v = (bx, by + draw(st.sampled_from([-2, -1, 1, 2])))
+        elif move == "turn-back":
+            ax, ay = verts[-2]
+            t = draw(st.sampled_from([F(1, 3), F(1, 2), F(1)]))
+            v = (bx + t * (ax - bx), by + t * (ay - by))
+        elif move == "continue":
+            ax, ay = verts[-2]
+            v = (2 * bx - ax, 2 * by - ay)
+        elif move == "revisit":
+            v = draw(st.sampled_from(verts[:-1]))
+        else:  # a point of an edge that is not the last one
+            i = draw(st.integers(min_value=0, max_value=len(verts) - 3))
+            (ax, ay), (cx, cy) = verts[i], verts[i + 1]
+            t = draw(st.sampled_from([F(0), F(1, 3), F(1, 2)]))
+            v = (ax + t * (cx - ax), ay + t * (cy - ay))
+        assume(v != verts[-1])
+        verts.append(v)
+    den = draw(st.sampled_from([F(1), F(3), F(7, 2), F(2**61 - 1, 3)]))
+    return PolyChain("c", [(x / den, y / den) for x, y in verts])
+
+
 # --- independent oracles ---------------------------------------------------
+
+
+def simple_oracle(chain):
+    """Simplicity recomputed on Fractions with segment_intersect: non-adjacent
+    edges share no point, adjacent edges share no sub-segment."""
+    edges = chain.edges()
+    for i, j in combinations(range(len(edges)), 2):
+        try:
+            p = segment_intersect(edges[i], edges[j])
+        except OverlapError:
+            return False
+        if p is not None and j > i + 1:
+            return False
+    return True
 
 
 def envelope_oracle(family):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tanglab import (
@@ -17,6 +17,8 @@ from tanglab import (
     validate_family,
 )
 from tanglab.curves import classify_contact
+
+import helpers
 
 F = Fraction
 
@@ -47,6 +49,20 @@ def test_is_simple():
     assert not chain("a", (0, 0), (2, 2), (2, 0), (0, 2)).is_simple()
     # doubling back along the same segment
     assert not chain("a", (0, 0), (2, 0), (1, 0)).is_simple()
+    # collinear continuation is fine; a vertex on a non-adjacent edge is not
+    assert chain("a", (0, 0), (1, 0), (2, 0)).is_simple()
+    assert not chain("a", (0, 0), (2, 0), (2, 1), (1, 0)).is_simple()
+    # revisiting an earlier vertex, and a vertical edge folding back
+    assert not chain("a", (0, 0), (1, 1), (2, 0), (2, 2), (1, 1)).is_simple()
+    assert not chain("a", (0, 0), (0, 2), (0, 1)).is_simple()
+
+
+@settings(max_examples=300)
+@given(helpers.degenerate_chains())
+def test_is_simple_matches_fraction_oracle(c):
+    want = helpers.simple_oracle(c)
+    event("simple" if want else "not simple")
+    assert c.is_simple() == want
 
 
 # --- contact classification ------------------------------------------------
@@ -178,6 +194,20 @@ def test_tangency_graph_star_is_forest():
     assert tg.edge_count == 3
     assert tg.degree("base") == 3
     assert tg.is_forest()
+
+
+def test_tangency_graph_names_a_degenerate_pair_once():
+    fam = CurveFamily([chain("a", (0, 0), (3, 0)), chain("b", (1, 0), (4, 0))])
+    with pytest.raises(DegeneracyError) as e:
+        tangency_graph(fam)
+    assert str(e.value) == "a/b: collinear overlap of positive length"
+
+
+def test_validate_report_is_kept_on_the_family():
+    fam = CurveFamily([chain("a", (0, 0), (2, 0)), chain("b", (0, 1), (1, 0), (2, 1))])
+    rep = validate_family(fam)
+    assert validate_family(fam) is rep
+    assert validate_family(fam.subfamily(fam.ids)) is not rep
 
 
 def test_tangency_graph_strict_refuses_multi():

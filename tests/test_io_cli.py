@@ -87,6 +87,14 @@ def test_flag_mismatch_x_monotone(tmp_path):
         load_family(p)
 
 
+def test_duplicate_curve_ids_are_a_format_error(tmp_path, capsys):
+    p = tmp_path / "dup.txt"
+    p.write_text("tanglab-family 1\ncurve a 2\n0 0\n1 0\ncurve a 2\n0 1\n1 1\n")
+    with pytest.raises(FormatError, match=":5: duplicate curve id 'a'"):
+        load_family(p)
+    assert run(["validate", "--in", str(p)]) == 2
+
+
 # --- graph files -----------------------------------------------------------
 
 
@@ -103,6 +111,19 @@ def test_graph_edge_out_of_range(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("A 2 B 2\n0 5\n")
     with pytest.raises(FormatError):
+        load_graph(p)
+
+
+def test_graph_skips_indented_comments(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("# header\nA 2 B 2\n  # comment\n0 1\n\t# another\n1 0\n")
+    assert load_graph(p).edges() == BipartiteGraph(range(2), range(2), [(0, 1), (1, 0)]).edges()
+
+
+def test_graph_error_names_the_file_line(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("A 2 B 2\n# comment\n\n0 x\n")
+    with pytest.raises(FormatError, match=":4: bad edge line"):
         load_graph(p)
 
 
@@ -148,6 +169,14 @@ def test_cli_validate_failure_exit_1(tmp_path, capsys):
     p = str(tmp_path / "f.txt")
     save_family(fam, p)
     assert run(["validate", "--in", p]) == 1
+
+
+def test_cli_envelope_and_visibility_reject_non_x_monotone(tmp_path, capsys):
+    p = tmp_path / "f.txt"
+    p.write_text("tanglab-family 1\ncurve a 3\n0 0\n2 2\n1 -1\ncurve b 2\n0 1\n2 1\n")
+    for command in ("envelope", "visibility", "partition"):
+        assert run([command, "--in", str(p)]) == 1, command
+        assert "x-monotone" in capsys.readouterr().err
 
 
 def test_cli_json_embeds_invocation_and_seed(tmp_path, capsys):

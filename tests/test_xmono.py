@@ -184,6 +184,47 @@ def test_partition_rejects_non_x_monotone():
         trapezoidal_partition(fam)
 
 
+def test_envelope_and_visibility_reject_non_x_monotone():
+    fam = CurveFamily([chain("a", (0, 0), (2, 2), (1, -1)), chain("b", (0, 1), (2, 1))])
+    with pytest.raises(ValueError, match="not x-monotone"):
+        lower_envelope(fam)
+    with pytest.raises(ValueError, match="not x-monotone"):
+        vertical_visibility_pairs(fam)
+
+
+def _count_common_points(monkeypatch):
+    """Count common_points calls, wherever the library holds the function."""
+    from tanglab import curves, xmono
+
+    calls = []
+    original = curves.common_points
+
+    def counting(c1, c2, *args):
+        calls.append(frozenset((c1.cid, c2.cid)))
+        return original(c1, c2, *args)
+
+    for module in (curves, xmono):
+        monkeypatch.setattr(module, "common_points", counting)
+    return calls
+
+
+def test_visibility_and_partition_scan_each_pair_once(monkeypatch):
+    calls = _count_common_points(monkeypatch)
+    span = helpers.random_spanning_family(3)
+    fresh = CurveFamily(span.curves, window=span.window, x_monotone=True, bi_infinite=True)
+    calls.clear()
+    vertical_visibility_pairs(fresh)
+    n = len(fresh)
+    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+
+    segs = helpers.random_segment_family(2, 12)
+    fresh = CurveFamily(segs.curves, x_monotone=True)
+    calls.clear()
+    trapezoidal_partition(fresh)
+    n = len(fresh)
+    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+
+
 def test_cell_stats_long_short():
     defining = CurveFamily([chain("a", (0, 0), (4, 0))])
     part = trapezoidal_partition(defining)
