@@ -95,7 +95,8 @@ def near_regularize(g: BipartiteGraph, d: int) -> Tuple[BipartiteGraph, Dict]:
     new_b, prov_b, map_b = split(g.b_ids, g.degree_b, g.adj_b)
     edges = [(map_a[(a, b)], map_b[(b, a)]) for a, b in g.edges()]
     out = BipartiteGraph(new_a, new_b, edges, g.meta)
-    assert out.n_edges == g.n_edges
+    if out.n_edges != g.n_edges:
+        raise RuntimeError(f"near_regularize lost edges: {g.n_edges} -> {out.n_edges}")
     prov = {("A", k): v for k, v in prov_a.items()}
     prov.update({("B", k): v for k, v in prov_b.items()})
     return out, prov

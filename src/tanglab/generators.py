@@ -43,7 +43,8 @@ def _tail_level(c: PolyChain) -> Fraction:
 def _extend_flat(c: PolyChain, x: Fraction) -> PolyChain:
     """Extend the final flat segment of c out to abscissa x."""
     v = list(c.vertices)
-    assert v[-1].y == v[-2].y, "curve must end flat"
+    if v[-1].y != v[-2].y:
+        raise ValueError(f"{c.cid}: curve must end flat")
     v[-1] = Point(x, v[-1].y)
     return PolyChain(c.cid, v)
 
@@ -232,7 +233,8 @@ def _grounded_attempt(k, rho, gamma, eps_bar, s_steep, lines, salt) -> Optional[
                 xb = a + t_b
                 apex = value_at(line_chain[(m, c)], xb)
                 expected = b + shift[(m, c)] + m * t_b - dip(m)
-                assert apex == expected, "bounce missed its envelope segment"
+                if apex != expected:
+                    raise RuntimeError(f"P{a}_{b}: bounce missed its envelope segment")
                 verts.append(Point(xb - arm, ride))
                 verts.append(Point(xb, apex))
                 verts.append(Point(xb + arm, ride))

@@ -4,10 +4,12 @@ Vertical order, lower envelopes, vertical visibility, the trapezoidal
 (vertical) decomposition of the plane induced by a family, randomized
 cutting search, and bi-infinite extension by steep rays.
 
-Everything sweeps over *event* abscissas — vertices and pairwise common
-points — and only ever evaluates curves at exact rational midpoints of
-event intervals, so all comparisons are exact.  The common points of a
-family come from its cached contact map (`CurveFamily.contacts`).
+Everything reads one sweep (`_sweep`) over the family's *event* abscissas —
+chain endpoints and pairwise common points, the latter from the family's
+cached contact map (`CurveFamily.contacts`).  No two chains meet inside a
+slab between consecutive events, so each slab has one strict vertical
+order, found by evaluating the chains at the slab's exact rational
+midpoint; all comparisons are exact.
 """
 
 from __future__ import annotations
@@ -46,13 +48,17 @@ def value_at(c: PolyChain, x: Fraction) -> Fraction:
     return a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
 
 
+def _require_x_monotone(family: CurveFamily) -> None:
+    for c in family.curves:
+        if not c.is_x_monotone():
+            raise ValueError(f"{c.cid} is not x-monotone")
+
+
 def _pair_points(family: CurveFamily) -> List[Tuple[Tuple[str, str], List[Point]]]:
     """(id pair, common points) for every pair of an x-monotone family, read
     from its cached contact map.  Raises ValueError on a chain that is not
     x-monotone and DegeneracyError on a degenerate pair."""
-    for c in family.curves:
-        if not c.is_x_monotone():
-            raise ValueError(f"{c.cid} is not x-monotone")
+    _require_x_monotone(family)
     out = []
     for key, (status, data) in family.contacts().items():
         if status == "degenerate":
@@ -61,11 +67,39 @@ def _pair_points(family: CurveFamily) -> List[Tuple[Tuple[str, str], List[Point]
     return out
 
 
-def _event_xs(family: CurveFamily, pairs) -> List[Fraction]:
-    """Vertex abscissas and those of the common points in `pairs`, sorted."""
-    xs: Set[Fraction] = {v.x for c in family.curves for v in c.vertices}
-    xs.update(p.x for _, pts in pairs for p in pts)
-    return sorted(xs)
+def _sweep(family: CurveFamily):
+    """(events_by_x, xs, slabs) of an x-monotone family.
+
+    events_by_x maps each event abscissa to the sorted ys of the event points
+    there (chain endpoints and pairwise common points); xs are its keys in
+    order.  slabs yields, left to right and only as far as it is read, the
+    chains spanning each open slab (xs[j], xs[j+1]) from bottom to top: the
+    previous slab's order less the chains ending at xs[j], plus those
+    starting there, sorted at the slab midpoint."""
+    events = {e for c in family.curves for e in (c.start, c.end)}
+    for _, pts in _pair_points(family):
+        events.update(pts)
+    events_by_x: Dict[Fraction, List[Fraction]] = {}
+    for p in sorted(events):
+        events_by_x.setdefault(p.x, []).append(p.y)
+    xs = list(events_by_x)
+    starting: Dict[Fraction, List[PolyChain]] = {}
+    ending: Dict[Fraction, Set[str]] = {}
+    for c in family.curves:
+        starting.setdefault(c.start.x, []).append(c)
+        ending.setdefault(c.end.x, set()).add(c.cid)
+
+    def slabs():
+        order: List[PolyChain] = []
+        for a, b in zip(xs, xs[1:]):
+            mid = (a + b) / 2
+            if a in ending:
+                order = [c for c in order if c.cid not in ending[a]]
+            order = order + starting.get(a, [])
+            order.sort(key=lambda c: value_at(c, mid))
+            yield order
+
+    return events_by_x, xs, slabs()
 
 
 def starts_below(c1: PolyChain, c2: PolyChain) -> bool:
@@ -112,31 +146,31 @@ def lower_envelope(family: CurveFamily) -> List[EnvelopePiece]:
         hi = min(c.end.x for c in chains)
     if lo >= hi:
         raise ValueError("chains share no open x-interval")
-    xs = [x for x in _event_xs(family, _pair_points(family)) if lo < x < hi]
-    bounds = [lo] + xs + [hi]
+    _, xs, slabs = _sweep(family)
+    for c in chains:
+        if not (c.start.x <= lo and hi <= c.end.x):
+            raise ValueError(f"{c.cid} does not span the window [{lo}, {hi}]")
     pieces: List[EnvelopePiece] = []
-    for a, b in zip(bounds, bounds[1:]):
-        mid = (a + b) / 2
-        winner = min(chains, key=lambda c: value_at(c, mid))
-        if pieces and pieces[-1].cid == winner.cid:
-            pieces[-1].hi = b
+    for a, b, order in zip(xs, xs[1:], slabs):
+        if a >= hi:
+            break
+        if b <= lo:
+            continue
+        cid = order[0].cid
+        if pieces and pieces[-1].cid == cid:
+            pieces[-1].hi = min(b, hi)
         else:
-            pieces.append(EnvelopePiece(a, b, winner.cid))
+            pieces.append(EnvelopePiece(max(a, lo), min(b, hi), cid))
     return pieces
 
 
 def vertical_visibility_pairs(family: CurveFamily) -> Set[Tuple[str, str]]:
-    """Disjoint pairs that are vertically adjacent on some open event interval."""
-    chains = family.curves
-    pairs = _pair_points(family)
-    disjoint = {frozenset(key) for key, pts in pairs if not pts}
-    xs = _event_xs(family, pairs)
+    """Disjoint pairs that are vertically adjacent in some slab."""
+    _, _, slabs = _sweep(family)
+    disjoint = {frozenset(key) for key, pts in _pair_points(family) if not pts}
     out: Set[Tuple[str, str]] = set()
-    for a, b in zip(xs, xs[1:]):
-        mid = (a + b) / 2
-        present = [c for c in chains if c.start.x <= mid <= c.end.x]
-        present.sort(key=lambda c: value_at(c, mid))
-        for u, v in zip(present, present[1:]):
+    for order in slabs:
+        for u, v in zip(order, order[1:]):
             if frozenset((u.cid, v.cid)) in disjoint:
                 out.add(tuple(sorted((u.cid, v.cid))))
     return out
@@ -166,32 +200,17 @@ class Partition:
         self._build()
 
     def _build(self) -> None:
-        chains = self.defining.curves
-        # event points: chain endpoints and pairwise common points
-        events: Set[Point] = {e for c in chains for e in (c.start, c.end)}
-        for _, pts in _pair_points(self.defining):
-            events.update(pts)
-        xs = sorted({p.x for p in events})
+        self.events_by_x, xs, slabs = _sweep(self.defining)
         self.xs = xs
-        self.events_by_x: Dict[Fraction, List[Fraction]] = {}
-        for p in events:
-            self.events_by_x.setdefault(p.x, []).append(p.y)
-
-        # slab j spans (bounds[j], bounds[j+1]); outermost slabs unbounded
-        nslab = len(xs) + 1
-        self.slab_curves: List[List[PolyChain]] = []
-        for j in range(nslab):
-            if j == 0 or j == nslab - 1 or not xs:
-                self.slab_curves.append([])
-                continue
-            a, b = xs[j - 1], xs[j]
-            mid = (a + b) / 2
-            inside = [c for c in chains if c.start.x <= a and c.end.x >= b]
-            inside.sort(key=lambda c: value_at(c, mid))
-            self.slab_curves.append(inside)
+        # slab j spans (xs[j-1], xs[j]); the outermost slabs are unbounded
+        self.slab_curves: List[List[PolyChain]] = [[]] + list(slabs) + [[]] if xs else [[]]
 
         # union-find over strips (slab, strip index)
-        parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        parent: Dict[Tuple[int, int], Tuple[int, int]] = {
+            (j, k): (j, k)
+            for j, sc in enumerate(self.slab_curves)
+            for k in range(len(sc) + 1)
+        }
 
         def find(s):
             root = s
@@ -201,26 +220,24 @@ class Partition:
                 parent[s], s = root, parent[s]
             return root
 
-        for j in range(nslab):
-            for k in range(len(self.slab_curves[j]) + 1):
-                parent[(j, k)] = (j, k)
-
+        # The curves of the two slabs beside x_e are all the curves covering
+        # it, and every event point lies on one of them.  Their values cut the
+        # line x = x_e into open intervals; one with an event y at either end
+        # carries a wall, any other joins the strips on its left and right.
         for j, x_e in enumerate(xs):
-            left, right = j, j + 1
-            lg = self._gaps_at(left, x_e)
-            rg = self._gaps_at(right, x_e)
-            walls = self._walls_at(x_e)
-            for kl, (llo, lhi) in enumerate(lg):
-                for kr, (rlo, rhi) in enumerate(rg):
-                    ilo = max(llo, rlo)
-                    ihi = min(lhi, rhi)
-                    if not ilo < ihi:
-                        continue
-                    if any(max(ilo, wlo) < min(ihi, whi) for wlo, whi in walls):
-                        continue
-                    ra, rb = find((left, kl)), find((right, kr))
-                    if ra != rb:
-                        parent[ra] = rb
+            left, right = self.slab_curves[j], self.slab_curves[j + 1]
+            y = {c.cid: value_at(c, x_e) for c in left + right}
+            ly = [y[c.cid] for c in left]
+            ry = [y[c.cid] for c in right]
+            walls = set(self.events_by_x[x_e])
+            cuts = [NEG_INF] + sorted(set(y.values())) + [POS_INF]
+            for y0, y1 in zip(cuts, cuts[1:]):
+                if y0 in walls or y1 in walls:
+                    continue
+                ra = find((j, bisect_right(ly, y0)))
+                rb = find((j + 1, bisect_right(ry, y0)))
+                if ra != rb:
+                    parent[ra] = rb
 
         groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         for s in parent:
@@ -256,32 +273,6 @@ class Partition:
     @property
     def cell_count(self) -> int:
         return len(self.cells)
-
-    def _gaps_at(self, slab: int, x: Fraction) -> List[Tuple[object, object]]:
-        """Open y-gaps of a slab's strips, with bounds evaluated at x."""
-        vals = [value_at(c, x) for c in self.slab_curves[slab]]
-        cuts = [NEG_INF] + vals + [POS_INF]
-        return list(zip(cuts, cuts[1:]))
-
-    def _walls_at(self, x_e: Fraction) -> List[Tuple[object, object]]:
-        """Open y-intervals of the vertical walls erected at abscissa x_e."""
-        vals = sorted(
-            value_at(c, x_e)
-            for c in self.defining.curves
-            if c.start.x <= x_e <= c.end.x
-        )
-        walls = []
-        for yp in self.events_by_x.get(x_e, ()):
-            lo = NEG_INF
-            hi = POS_INF
-            i = bisect_left(vals, yp)
-            if i > 0:
-                lo = vals[i - 1]
-            i = bisect_right(vals, yp)
-            if i < len(vals):
-                hi = vals[i]
-            walls.append((lo, hi))
-        return walls
 
     def _strip_of(self, slab: int, x: Fraction, y: Fraction) -> Optional[int]:
         """Strip index holding (x, y), or None when y lies on a slab curve."""
@@ -396,7 +387,9 @@ def cutting_search(
     """Random-subset search for a 1/r-cutting: partition induced by a sample of
     size min(n, ceil(a*r)) whose cells number at most c_max*r^2 and whose open
     interiors each meet at most n/r curves of the family.  Returns
-    (subset_ids, Partition, stats) or a CuttingFailure after `tries` draws."""
+    (subset_ids, Partition, stats) or a CuttingFailure after `tries` draws.
+    Raises ValueError when a chain of the family is not x-monotone."""
+    _require_x_monotone(family)
     n = len(family)
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
@@ -440,9 +433,7 @@ def biinfinite_extend(
     the ray slope is bumped until no pair gains more than two common points
     and no degeneracy appears (gives up after 32 bumps).
     """
-    for c in family.curves:
-        if not c.is_x_monotone():
-            raise ValueError(f"{c.cid} is not x-monotone")
+    _require_x_monotone(family)
     modes = {c.cid: mode for c in family.curves} if isinstance(mode, str) else dict(mode)
     for cid, m in modes.items():
         if m not in ("above", "below"):

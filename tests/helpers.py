@@ -273,12 +273,17 @@ def euler_cell_count(partition, box=10**6):
     for c in partition.defining.curves:
         segs.extend(c.edges())
     for x_e in partition.xs:
+        # a wall runs from its event point to the nearest curve below and above
+        vals = [
+            value_at(c, x_e)
+            for c in partition.defining.curves
+            if c.start.x <= x_e <= c.end.x
+        ]
         spans = []
-        for lo, hi in partition._walls_at(x_e):
-            y0 = -B if lo == float("-inf") else F(lo)
-            y1 = B if hi == float("inf") else F(hi)
-            if y0 < y1:
-                spans.append((y0, y1))
+        for y in partition.events_by_x[x_e]:
+            y0 = max((v for v in vals if v < y), default=-B)
+            y1 = min((v for v in vals if v > y), default=B)
+            spans.append((y0, y1))
         # overlapping walls at one abscissa collapse to their union
         spans.sort()
         merged = []

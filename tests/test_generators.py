@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tanglab import (
+    PolyChain,
     gen_doubling,
     gen_grounded_family,
     gen_incidence_grid,
@@ -11,6 +12,7 @@ from tanglab import (
     tangency_graph,
     validate_family,
 )
+from tanglab.generators import _extend_flat
 
 F = Fraction
 
@@ -21,6 +23,12 @@ def test_vee_fan_counts_and_flags():
     assert rep.is_precisely_1 and rep.bi_infinite_ok and rep.all_x_monotone
     assert rep.tangency_count == 4
     assert tangency_graph(fam).degree("base") == 4
+
+
+def test_extend_flat_rejects_a_chain_that_does_not_end_flat():
+    with pytest.raises(ValueError, match="must end flat"):
+        _extend_flat(PolyChain("a", [(0, 0), (1, 1)]), F(2))
+    assert _extend_flat(PolyChain("a", [(0, 0), (1, 1), (2, 1)]), F(5)).end == (5, 1)
 
 
 def test_vee_fan_rejects_tiny():

@@ -179,6 +179,51 @@ def test_cli_envelope_and_visibility_reject_non_x_monotone(tmp_path, capsys):
         assert "x-monotone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vee-fan", "--n", "1"],
+        ["random-graph", "--n", "8", "--c", "3"],
+        ["grounded", "--k", "1", "--eps", "1"],
+        ["doubling", "--k", "0"],
+    ],
+)
+def test_cli_generate_domain_error_exit_2(tmp_path, capsys, argv):
+    assert run(["generate", *argv, "--out", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err
+
+
+def test_cli_k22_counts_once(tmp_path, capsys, monkeypatch):
+    import tanglab.cli
+
+    calls = []
+    original = tanglab.cli.count_k22
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tanglab.cli, "count_k22", counting)
+    p = str(tmp_path / "k33.txt")
+    save_graph(BipartiteGraph(range(3), range(3), [(a, b) for a in range(3) for b in range(3)]), p)
+    assert run(["graph", "k22", "--in", p]) == 0
+    assert json.loads(capsys.readouterr().out)["k22_pairs"] == 9
+    assert len(calls) == 1
+
+
+def test_cli_partition_cutting_rejects_non_x_monotone(tmp_path, capsys):
+    fam = CurveFamily(
+        [PolyChain(f"s{i}", [(i, i), (i + 10, -i)]) for i in range(6)]
+        + [PolyChain("z", [(0, 1), (3, 1), (1, -1), (4, -1)])]
+    )
+    p = str(tmp_path / "f.txt")
+    save_family(fam, p)
+    for seed in ("1", "4"):  # seeds whose samples miss z
+        argv = ["partition", "--in", p, "--cutting", "--r", "1", "--seed", seed]
+        assert run(argv) == 1
+        assert "z is not x-monotone" in capsys.readouterr().err
+
+
 def test_cli_json_embeds_invocation_and_seed(tmp_path, capsys):
     f = str(tmp_path / "g.txt")
     argv = ["generate", "random-graph", "--n", "12", "--c", "3/2", "--seed", "4", "--out", f]

@@ -153,13 +153,14 @@ def _strip_interior_point(part, j, k):
         x = part.xs[-1] + 1
     else:
         x = (part.xs[j - 1] + part.xs[j]) / 2
-    lo, hi = part._gaps_at(j, x)[k]
-    if lo == float("-inf"):
-        y = (F(hi) - 1) if hi != float("inf") else F(0)
-    elif hi == float("inf"):
-        y = F(lo) + 1
+    cuts = [None] + [value_at(c, x) for c in part.slab_curves[j]] + [None]
+    lo, hi = cuts[k], cuts[k + 1]
+    if lo is None:
+        y = hi - 1 if hi is not None else F(0)
+    elif hi is None:
+        y = lo + 1
     else:
-        y = (F(lo) + F(hi)) / 2
+        y = (lo + hi) / 2
     return pt(x, y)
 
 
@@ -269,6 +270,21 @@ def test_cutting_search_deterministic():
     r1 = cutting_search(fam, 2, seed=11)
     r2 = cutting_search(fam, 2, seed=11)
     assert isinstance(r1, tuple) and r1[0] == r2[0]
+
+
+def _segments_and_zigzag():
+    """Six crossing segments plus a chain z that turns back in x."""
+    segs = [chain(f"s{i}", (i, i), (i + 10, -i)) for i in range(6)]
+    z = chain("z", (0, 1), (3, 1), (1, -1), (4, -1))
+    return CurveFamily(segs + [z])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cutting_search_rejects_non_x_monotone(seed):
+    # samples of two curves can miss z, so the sampled partitions alone
+    # would not notice it
+    with pytest.raises(ValueError, match="z is not x-monotone"):
+        cutting_search(_segments_and_zigzag(), 1, seed=seed, a=2)
 
 
 # --- bi-infinite extension -------------------------------------------------
