@@ -2,8 +2,8 @@
 counting, sparse sub-bineighborhoods, bad 4-tuples, H-plus, subgraph
 containment, and the intersection-reverse order-list checker.
 
-Power-law budgets f(x) = q*x^e are compared exactly: for rational e = p/r,
-|E| > q*x^e iff |E|^r > q^r * x^p, an integer-rational comparison.  Reported
+Power-law budgets f(x) = q*x^e are compared exactly: for e = p/r and q = qn/qd,
+|E| > q*x^e iff |E|^r * qd^r > qn^r * x^p, a comparison of integers.  Reported
 slack values fall back to floats when e is not an integer; verdicts never do.
 """
 
@@ -185,13 +185,15 @@ class SparsenessBudget:
         object.__setattr__(self, "e", Fraction(self.e))
         if self.q < 0 or self.e < 0:
             raise ValueError("need q >= 0 and e >= 0")
+        p, r = self.e.numerator, self.e.denominator
+        object.__setattr__(self, "_ints", (p, r, self.q.numerator**r, self.q.denominator**r))
 
     def exceeds(self, edges: int, x: int) -> bool:
         """Exact test: edges > f(x)?  (x >= 0 integer)"""
         if x == 0:
             return edges > 0
-        p, r = self.e.numerator, self.e.denominator
-        return Fraction(edges) ** r > self.q**r * Fraction(x) ** p
+        p, r, qn_r, qd_r = self._ints
+        return edges**r * qd_r > qn_r * x**p
 
     def value(self, x: int):
         """f(x): exact Fraction for integer exponents, float otherwise."""
@@ -250,6 +252,8 @@ def sub_bineighborhood_violation(
     (u on side A, v on side B).  Exhaustive when both restricted neighborhoods
     have at most `limit` vertices; otherwise a sampled lower bound on the
     worst slack (the verdict of a sampled run is never 'holds')."""
+    if limit < 0 or samples < 1:
+        raise ValueError("need limit >= 0 and samples >= 1")
     nu = sorted(g.adj_a[u] - {v}, key=str)  # subset side in B
     nv = sorted(g.adj_b[v] - {u}, key=str)  # subset side in A
     if len(nu) <= limit and len(nv) <= limit:
@@ -310,6 +314,8 @@ def check_f_sparse(
 ) -> SparsityReport:
     """Run sub_bineighborhood_violation over all pairs in scope.  Verdict
     'holds' requires every pair exhaustively verified with slack <= 0."""
+    if limit < 0 or samples < 1:
+        raise ValueError("need limit >= 0 and samples >= 1")
     if scope == "adjacent":
         pairs = g.edges()
     elif scope == "all_pairs":
@@ -350,33 +356,28 @@ def bad_4tuple_scan(
     seed: int = 0,
 ) -> Bad4Report:
     """Count pairs (a, b) for which some B' in N(a)\\{b}, A' in N(b)\\{a} has
-    |E(A', B')| > q*(|A'|+|B'|)^c.  A pair is pruned exactly when even the
-    densest possible bipartite graph on every admissible size s (floor(s^2/4)
-    edges, capped by |N| sizes) stays within the budget."""
-    if not (c > 1 and q > 0):
-        raise ValueError("need c > 1 and q > 0")
+    |E(A', B')| > q*(|A'|+|B'|)^c.  A pair is pruned exactly when, for every s
+    in 2..nu+nv (nu, nv the sizes of those neighbourhoods), min(floor(s^2/4),
+    nu*nv) edges stay within q*s^c: a test decided once per (nu, nv)."""
+    if not (c > 1 and q > 0 and limit >= 0 and samples >= 1):
+        raise ValueError("need c > 1, q > 0, limit >= 0 and samples >= 1")
     f = SparsenessBudget(Fraction(q), Fraction(c))
     bad = examined = pruned = sampled_pairs = 0
+    possible: Dict[Tuple[int, int], bool] = {}
     for a in g.a_ids:
         for b in g.b_ids:
-            nu = len(g.adj_a[a] - {b})
-            nv = len(g.adj_b[b] - {a})
-            smax = nu + nv
-            possible = False
-            for s in range(2, smax + 1):
-                cap = min((s * s) // 4, nu * nv)
-                if f.exceeds(cap, s):
-                    possible = True
-                    break
-            if not possible:
+            joined = b in g.adj_a[a]
+            nu, nv = len(g.adj_a[a]) - joined, len(g.adj_b[b]) - joined
+            if (nu, nv) not in possible:
+                caps = ((min(s * s // 4, nu * nv), s) for s in range(2, nu + nv + 1))
+                possible[nu, nv] = any(f.exceeds(cap, s) for cap, s in caps)
+            if not possible[nu, nv]:
                 pruned += 1
                 continue
             examined += 1
             res = sub_bineighborhood_violation(g, a, b, f, limit, samples, seed)
-            if res.mode == "sampled":
-                sampled_pairs += 1
-            if res.violated:
-                bad += 1
+            sampled_pairs += res.mode == "sampled"
+            bad += res.violated
     return Bad4Report(bad, examined, pruned, sampled_pairs)
 
 

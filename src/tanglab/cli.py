@@ -384,9 +384,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         print(str(e), file=sys.stderr)
         return USAGE_ERROR
     except ValueError as e:
-        # generate checks no property: its ValueErrors are all input errors
+        # generate and graph raise ValueError only on input outside the domain
         print(str(e), file=sys.stderr)
-        return USAGE_ERROR if args.command == "generate" else PROPERTY_FAIL
+        return USAGE_ERROR if args.command in ("generate", "graph") else PROPERTY_FAIL
 
 
 def main() -> None:

@@ -161,6 +161,40 @@ def random_bipartite_graph(seed, max_side=40, p=None):
     return BipartiteGraph(range(na), range(nb), edges)
 
 
+def exceeds_oracle(q, e, edges, x):
+    """edges > q*x^e by Fraction arithmetic: edges^r > q^r * x^p, e = p/r."""
+    q, e = Fraction(q), Fraction(e)
+    if x == 0:
+        return edges > 0
+    return Fraction(edges) ** e.denominator > q**e.denominator * Fraction(x) ** e.numerator
+
+
+def bad4_oracle(g, q, c, limit=16, samples=100_000, seed=0):
+    """bad_4tuple_scan with the prune decided afresh for every vertex pair, on
+    neighbourhoods built as set differences and budgets tested on Fractions."""
+    from tanglab import Bad4Report, SparsenessBudget, sub_bineighborhood_violation
+
+    f = SparsenessBudget(q, c)
+    bad = examined = pruned = sampled_pairs = 0
+    for a in g.a_ids:
+        for b in g.b_ids:
+            nu = len(g.adj_a[a] - {b})
+            nv = len(g.adj_b[b] - {a})
+            possible = False
+            for s in range(2, nu + nv + 1):
+                if exceeds_oracle(q, c, min((s * s) // 4, nu * nv), s):
+                    possible = True
+                    break
+            if not possible:
+                pruned += 1
+                continue
+            examined += 1
+            res = sub_bineighborhood_violation(g, a, b, f, limit, samples, seed)
+            sampled_pairs += res.mode == "sampled"
+            bad += res.violated
+    return Bad4Report(bad, examined, pruned, sampled_pairs)
+
+
 @st.composite
 def degenerate_chains(draw):
     """Chains of 2-7 vertices on a small grid, divided by a rational so the

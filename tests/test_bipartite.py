@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanglab import (
@@ -17,6 +17,7 @@ from tanglab import (
     contains_subgraph,
     count_k21,
     count_k22,
+    gen_random_bipartite,
     h_plus,
     intersection_reverse_check,
     near_regularize,
@@ -92,6 +93,28 @@ def test_sparseness_budget_exact_boundary():
     assert not f2.exceeds(2, 8)
 
 
+@settings(max_examples=300)
+@given(
+    q=st.fractions(min_value=0, max_value=40, max_denominator=9),
+    p=st.integers(min_value=0, max_value=9),
+    r=st.integers(min_value=1, max_value=5),
+    k=st.integers(min_value=0, max_value=12),
+    delta=st.integers(min_value=-2, max_value=2),
+)
+@example(q=F(7, 3), p=3, r=2, k=0, delta=1)  # x = 0, edges > 0
+@example(q=F(7, 3), p=3, r=2, k=0, delta=0)  # x = 0, edges = 0
+@example(q=F(7, 3), p=5, r=3, k=2, delta=-80)  # edges = 0
+@example(q=F(9, 4), p=3, r=2, k=2, delta=0)  # edges == q*x^e = 18
+@example(q=F(9, 4), p=3, r=2, k=2, delta=1)
+def test_budget_exceeds_matches_fraction_oracle(q, p, r, k, delta):
+    e = F(p, r)
+    x = k**r  # x^e = k^p exactly, so edges lands on or next to the budget
+    edges = max(0, int(q * k**p) + delta)
+    f = SparsenessBudget(q, e)
+    for xx in (x, x + 1):
+        assert f.exceeds(edges, xx) == helpers.exceeds_oracle(q, e, edges, xx)
+
+
 def test_sub_bineighborhood_worst_slack_on_c4():
     g = complete(2, 2)
     f = SparsenessBudget(1, 1)
@@ -140,9 +163,78 @@ def test_bad_4tuple_scan_prunes_at_large_q():
     assert rep.pruned == len(g.a_ids) * len(g.b_ids)
 
 
-def gen_random():
-    from tanglab import gen_random_bipartite
+@pytest.mark.parametrize("limit, samples", [(-1, 100), (16, 0), (16, -5)])
+def test_search_rejects_limit_and_samples_out_of_domain(limit, samples):
+    g = complete(3, 3)
+    f = SparsenessBudget(1, 1)
+    with pytest.raises(ValueError):
+        sub_bineighborhood_violation(g, 0, 0, f, limit, samples)
+    with pytest.raises(ValueError):
+        check_f_sparse(BipartiteGraph([0], [0], []), f, limit=limit, samples=samples)
+    with pytest.raises(ValueError):  # raised although every pair is pruned
+        bad_4tuple_scan(g, 5000, F(3, 2), limit=limit, samples=samples)
 
+
+# small q so that some pairs are examined, some bad and some sampled
+BAD4_BUDGETS = [
+    (F(1, 4), F(6, 5)),
+    (1, F(6, 5)),
+    (F(1, 3), F(5, 4)),
+    (F(1, 2), F(7, 5)),
+    (2, F(11, 10)),
+]
+
+
+@pytest.mark.parametrize("q, c", BAD4_BUDGETS)
+def test_bad4_prune_matches_per_pair_oracle(q, c):
+    for seed in range(10):
+        g = helpers.random_bipartite_graph(seed, max_side=12)
+        args = dict(limit=5, samples=30, seed=seed)
+        assert bad_4tuple_scan(g, q, c, **args) == helpers.bad4_oracle(g, q, c, **args)
+
+
+@pytest.mark.parametrize("q, c", BAD4_BUDGETS)
+def test_bad4_pruned_pairs_have_no_violation(q, c, monkeypatch):
+    import tanglab.bipartite
+
+    real = tanglab.bipartite.sub_bineighborhood_violation
+    examined = set()
+
+    def recording(g, u, v, *args):
+        examined.add((u, v))
+        return real(g, u, v, *args)
+
+    monkeypatch.setattr(tanglab.bipartite, "sub_bineighborhood_violation", recording)
+    f = SparsenessBudget(q, c)
+    for seed in range(10):
+        g = helpers.random_bipartite_graph(seed, max_side=12)
+        examined.clear()
+        rep = bad_4tuple_scan(g, q, c, limit=5, samples=30)
+        skipped = [(a, b) for a in g.a_ids for b in g.b_ids if (a, b) not in examined]
+        assert len(skipped) == rep.pruned
+        for a, b in skipped:
+            assert not real(g, a, b, f, limit=64).violated, (seed, a, b)
+
+
+def test_bad4_budget_tests_once_per_degree_pair(monkeypatch):
+    g = gen_random_bipartite(128, F(3, 2), seed=101)
+    calls = []
+    real = SparsenessBudget.exceeds
+
+    def counting(self, edges, x):
+        calls.append(x)
+        return real(self, edges, x)
+
+    monkeypatch.setattr(SparsenessBudget, "exceeds", counting)
+    rep = bad_4tuple_scan(g, 5000, F(3, 2))
+    assert rep.pruned == 128 * 128
+    degree_pairs = {
+        (len(g.adj_a[a] - {b}), len(g.adj_b[b] - {a})) for a in g.a_ids for b in g.b_ids
+    }
+    assert len(calls) <= sum(max(0, nu + nv - 1) for nu, nv in degree_pairs)
+
+
+def gen_random():
     return gen_random_bipartite(30, F(3, 2), seed=7)
 
 

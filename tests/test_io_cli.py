@@ -193,6 +193,27 @@ def test_cli_generate_domain_error_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bad4", "--q", "0", "--c", "3/2"],
+        ["bad4", "--q", "5", "--c", "1"],
+        ["bad4", "--q", "5000", "--c", "3/2", "--limit", "-1"],
+        ["bad4", "--q", "5000", "--c", "3/2", "--samples", "0"],
+        ["sparse-check", "--f-q", "-1", "--f-e", "3/2"],
+        ["sparse-check", "--f-q", "1", "--f-e", "3/2", "--samples", "-5"],
+        ["sparse-check", "--f-q", "1", "--f-e", "3/2", "--limit", "-1"],
+        ["regularize", "--d", "0", "--out", "OUT"],
+    ],
+)
+def test_cli_graph_domain_error_exit_2(tmp_path, capsys, argv):
+    p = str(tmp_path / "k33.txt")
+    save_graph(BipartiteGraph(range(3), range(3), [(a, b) for a in range(3) for b in range(3)]), p)
+    argv = [str(tmp_path / "out.txt") if tok == "OUT" else tok for tok in argv]
+    assert run(["graph", argv[0], "--in", p, *argv[1:]]) == 2
+    assert capsys.readouterr().err
+
+
 def test_cli_k22_counts_once(tmp_path, capsys, monkeypatch):
     import tanglab.cli
 
