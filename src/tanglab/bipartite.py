@@ -187,6 +187,7 @@ class SparsenessBudget:
             raise ValueError("need q >= 0 and e >= 0")
         p, r = self.e.numerator, self.e.denominator
         object.__setattr__(self, "_ints", (p, r, self.q.numerator**r, self.q.denominator**r))
+        object.__setattr__(self, "_floats", (float(self.q), float(self.e)))
 
     def exceeds(self, edges: int, x: int) -> bool:
         """Exact test: edges > f(x)?  (x >= 0 integer)"""
@@ -199,7 +200,8 @@ class SparsenessBudget:
         """f(x): exact Fraction for integer exponents, float otherwise."""
         if self.e.denominator == 1:
             return self.q * Fraction(x) ** self.e.numerator
-        return float(self.q) * float(x) ** float(self.e)
+        q, e = self._floats
+        return q * float(x) ** e
 
 
 @dataclass

@@ -9,14 +9,16 @@ one point, and precisely-1-intersecting when every pair shares exactly one.
 Tangency types: at a touch point both curves are oriented, so each has a
 left and a right side.  The type is a two-letter code — first letter the
 side of c1 on which c2 lies locally, second letter the side of c2 on which
-c1 lies.  Example: a rightward horizontal line c1 touched from above at its
-interior by a rightward vee c2 gives LR (c2 above = left of c1; c1 below
-c2's rightward-then-leftward arcs = right of c2... the vee travels through
-its apex, and the line sits on its right).
+c1 lies.  Example: the peak c1 = (0,0),(1,1),(2,0) meets the rightward
+line c2 = (0,1),(2,1) at its apex (1,1) and touches it from below.  The
+line lies above the apex, on the left of c1; the peak lies below the line,
+on the right of c2; so the type is LR, and RL with c1 and c2 swapped.
 
 One integer kernel, `_pair_points_int`, decides every segment predicate,
 for pairs of chains and for `PolyChain.is_simple` alike, on a common
-integer grid; reported points are exact Fractions.  A family caches its
+integer grid; reported points are exact Fractions.  Classification runs
+on ints too: cross/touch, the tangency type and the position along a chain
+all read `_arcs`, the int arcs leaving a point.  A family caches its
 contact map and its validation report, and xmono reads that map.
 """
 
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .geom import GeometryError, Point, Segment, format_rat, on_segment
+from .geom import GeometryError, Point, format_rat
 
 
 class DegeneracyError(GeometryError):
@@ -40,14 +42,6 @@ class TangencyType(enum.Enum):
     LR = "LR"
     RL = "RL"
     RR = "RR"
-
-    @property
-    def side1(self) -> str:
-        return self.value[0]
-
-    @property
-    def side2(self) -> str:
-        return self.value[1]
 
     def swapped(self) -> "TangencyType":
         return TangencyType(self.value[1] + self.value[0])
@@ -90,13 +84,6 @@ class PolyChain:
     def end(self) -> Point:
         return self.vertices[-1]
 
-    def edges(self) -> List[Segment]:
-        return [Segment(a, b) for a, b in zip(self.vertices, self.vertices[1:])]
-
-    def x_range(self) -> Tuple[Fraction, Fraction]:
-        xs = [v.x for v in self.vertices]
-        return min(xs), max(xs)
-
     def is_x_monotone(self) -> bool:
         """Strict monotonicity: vertex abscissas strictly increase (no vertical edges)."""
         return all(a.x < b.x for a, b in zip(self.vertices, self.vertices[1:]))
@@ -110,8 +97,8 @@ class PolyChain:
         return self._scale
 
     def scaled_segments(self, scale: int) -> list:
-        """Segments as int tuples (minx, maxx, miny, maxy, ax, ay, bx, by),
-        sorted by minx.  `scale` must be a multiple of self.scale."""
+        """Segments as the int tuples of `_int_segments`, sorted by minx.
+        `scale` must be a multiple of self.scale."""
         segs = self._scaled.get(scale)
         if segs is None:
             segs = sorted(_int_segments(self.vertices, scale), key=lambda s: s[0])
@@ -125,84 +112,86 @@ class PolyChain:
         meeting only at the shared vertex (no turn-backs, which the pair
         kernel reports as an overlap)."""
         scale = self.scale
-        segs = sorted(enumerate(_int_segments(self.vertices, scale)), key=lambda e: e[1][0])
-        for k, (i, s) in enumerate(segs):
+        segs = self.scaled_segments(scale)
+        for k, s in enumerate(segs):
             for m in range(k + 1, len(segs)):
-                j, t = segs[m]
+                t = segs[m]
                 if t[0] > s[1]:
                     break
                 try:
                     hits = _pair_points_int([s], [t], scale)
                 except DegeneracyError:
                     return False
-                if hits and abs(i - j) != 1:
+                if hits and abs(s[8] - t[8]) != 1:
                     return False
         return True
 
 
 def _int_segments(vertices: Sequence[Point], scale: int) -> list:
     """Edges of a chain, in chain order, as the int tuples
-    (minx, maxx, miny, maxy, ax, ay, bx, by) of the grid scaled by `scale`,
-    a multiple of every vertex denominator."""
+    (minx, maxx, miny, maxy, ax, ay, bx, by, i) of the grid scaled by
+    `scale`, a multiple of every vertex denominator; i is the edge's index
+    in chain order."""
     ints = [
         (v.x.numerator * (scale // v.x.denominator), v.y.numerator * (scale // v.y.denominator))
         for v in vertices
     ]
     segs = []
-    for (ax, ay), (bx, by) in zip(ints, ints[1:]):
+    for i, ((ax, ay), (bx, by)) in enumerate(zip(ints, ints[1:])):
         minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
         miny, maxy = (ay, by) if ay <= by else (by, ay)
-        segs.append((minx, maxx, miny, maxy, ax, ay, bx, by))
+        segs.append((minx, maxx, miny, maxy, ax, ay, bx, by, i))
     return segs
 
 
 # --- locating a point on a chain -----------------------------------------
 
 
-def locate_on_chain(chain: PolyChain, p: Point) -> Tuple[str, Tuple[int, Fraction]]:
-    """Where does p sit on the chain?  Returns (kind, (edge_index, parameter))
-    with kind in {start, end, vertex, interior}.  Position orders points along
-    the chain.  Raises ValueError when p is not on the chain."""
-    verts = chain.vertices
-    for j, v in enumerate(verts):
-        if v == p:
-            if j == 0:
-                return "start", (0, Fraction(0))
-            if j == len(verts) - 1:
-                return "end", (j - 1, Fraction(1))
-            return "vertex", (j, Fraction(0))
-    for i, (a, b) in enumerate(zip(verts, verts[1:])):
-        if on_segment(p, Segment(a, b)):
-            dx, dy = b.x - a.x, b.y - a.y
-            t = (p.x - a.x) / dx if dx != 0 else (p.y - a.y) / dy
-            return "interior", (i, t)
-    raise ValueError(f"point {p} not on chain {chain.cid}")
+def _arcs(chain: PolyChain, p: Point) -> Tuple[str, int, List[Tuple[int, int]]]:
+    """Where p sits on the chain, read off the chain's own int segments:
+    (kind, index, arcs).  kind is start, end, vertex or interior, index that
+    of the vertex or of the edge, and arcs the directions from p toward the
+    previous and the next vertex, where present, as int vectors V*w - P
+    (P = p*scale*w), positive multiples of the true ones.  The first vertex
+    at p wins, else the first edge through p.  ValueError if p is off it."""
+    s = chain.scale
+    w = lcm(p.x.denominator, p.y.denominator)
+    px, py = p.x.numerator * (w // p.x.denominator) * s, p.y.numerator * (w // p.y.denominator) * s
+    hits = {}  # edge index -> arcs toward its two ends, for the edges through p
+    for minx, maxx, miny, maxy, ax, ay, bx, by, i in chain.scaled_segments(s):
+        if minx * w > px:
+            break
+        if px <= maxx * w and miny * w <= py <= maxy * w:
+            u, v = (ax * w - px, ay * w - py), (bx * w - px, by * w - py)
+            if _cross(u, v) == 0:
+                hits[i] = u, v
+    if not hits:
+        raise ValueError(f"point {p} not on chain {chain.cid}")
+    at = [i for i, (u, _) in hits.items() if u == (0, 0)] + [i + 1 for i, (_, v) in hits.items() if v == (0, 0)]
+    if not at:
+        i = min(hits)
+        return "interior", i, list(hits[i])
+    j = min(at)
+    if j == 0:
+        return "start", 0, [hits[0][1]]
+    if j == len(chain.vertices) - 1:
+        return "end", j - 1, [hits[j - 1][0]]
+    return "vertex", j, [hits[j - 1][0], hits[j][1]]
 
 
 def chain_position(chain: PolyChain, p: Point) -> Tuple[int, Fraction]:
-    """Sort key for the order of points along the chain."""
-    kind, pos = locate_on_chain(chain, p)
-    if kind == "vertex":
-        return pos[0] - 1, Fraction(1)  # canonical: end of the previous edge
-    return pos
-
-
-def emanating_dirs(chain: PolyChain, p: Point) -> Tuple[str, List[Tuple[Fraction, Fraction]]]:
-    """Directions of the arcs of the chain leaving p: [toward previous, toward next]
-    where present.  Kind as in locate_on_chain."""
-    kind, (i, t) = locate_on_chain(chain, p)
-    verts = chain.vertices
+    """Sort key for the order of points along the chain: (edge, parameter);
+    a vertex counts as the end of the edge before it."""
+    kind, i, arcs = _arcs(chain, p)
     if kind == "start":
-        v = verts[1]
-        return kind, [(v.x - p.x, v.y - p.y)]
-    if kind == "end":
-        v = verts[-2]
-        return kind, [(v.x - p.x, v.y - p.y)]
-    a, b = verts[i - 1 if kind == "vertex" else i], verts[i + 1]
-    return kind, [(a.x - p.x, a.y - p.y), (b.x - p.x, b.y - p.y)]
+        return 0, Fraction(0)
+    if kind == "interior":
+        (ux, uy), (vx, vy) = arcs
+        return i, Fraction(ux, ux - vx) if ux != vx else Fraction(uy, uy - vy)
+    return i - (kind == "vertex"), Fraction(1)
 
 
-def _cross(u, w) -> Fraction:
+def _cross(u, w) -> int:
     return u[0] * w[1] - u[1] * w[0]
 
 
@@ -216,14 +205,17 @@ def _in_ccw_arc(u1, u2, w) -> bool:
         return c1w > 0 and cw2 > 0
     if c12 < 0:
         return c1w > 0 or cw2 > 0
-    # u1, u2 exactly opposite: the arc is the open half-plane left of u1
-    return c1w > 0
+    # u1, u2 exactly opposite: the arc is the open half-plane left of u1;
+    # u1, u2 equal (the chain turns back at p): the arc is empty
+    return c1w > 0 and u1[0] * u2[0] + u1[1] * u2[1] < 0
 
 
 def classify_contact(c1: PolyChain, c2: PolyChain, p: Point) -> str:
     """'cross' or 'touch' at a known common point p (cyclic-order test)."""
-    _, d1 = emanating_dirs(c1, p)
-    _, d2 = emanating_dirs(c2, p)
+    return _classify(c1, c2, p, _arcs(c1, p)[2], _arcs(c2, p)[2])
+
+
+def _classify(c1: PolyChain, c2: PolyChain, p: Point, d1: list, d2: list) -> str:
     for u in d1:
         for w in d2:
             if _cross(u, w) == 0 and u[0] * w[0] + u[1] * w[1] > 0:
@@ -238,31 +230,26 @@ def classify_contact(c1: PolyChain, c2: PolyChain, p: Point) -> str:
 
 def tangency_type(c1: PolyChain, c2: PolyChain, p: Point) -> TangencyType:
     """Type of the touch at p (letters: side of c1, then side of c2)."""
-    if classify_contact(c1, c2, p) != "touch":
+    a1, a2 = _arcs(c1, p), _arcs(c2, p)
+    if _classify(c1, c2, p, a1[2], a2[2]) != "touch":
         raise DegeneracyError(f"{c1.cid} and {c2.cid} cross at {p}; no tangency type")
-    s1 = _side_letter(c1, c2, p)
-    s2 = _side_letter(c2, c1, p)
-    return TangencyType(s1 + s2)
+    return _touch_type(c1, c2, p, a1, a2)
 
 
-def _side_letter(c: PolyChain, other: PolyChain, p: Point) -> str:
-    """On which side of c (L/R w.r.t. its orientation) does `other` lie near p?"""
-    kind, dirs = emanating_dirs(c, p)
-    _, odirs = emanating_dirs(other, p)
-    if kind in ("interior", "vertex"):
-        d_back, d_fwd = dirs[0], dirs[1]
-        lefts = [_in_ccw_arc(d_fwd, d_back, w) for w in odirs]
-    else:
-        if kind == "start":
-            travel = dirs[0]
+def _touch_type(c1: PolyChain, c2: PolyChain, p: Point, a1: tuple, a2: tuple) -> TangencyType:
+    """Type of a known touch at p, from both chains' `_arcs` there: for each
+    chain, the side (L/R w.r.t. its orientation) on which the other lies."""
+    letters = ""
+    for c, other, (kind, _, dirs), (_, _, odirs) in ((c1, c2, a1, a2), (c2, c1, a2, a1)):
+        if kind in ("interior", "vertex"):
+            lefts = {_in_ccw_arc(dirs[1], dirs[0], w) for w in odirs}
         else:
-            travel = (-dirs[0][0], -dirs[0][1])
-        lefts = [_cross(travel, w) > 0 for w in odirs]
-    if len(set(lefts)) != 1:
-        raise DegeneracyError(
-            f"side of {c.cid} ambiguous at endpoint contact {p} with {other.cid}"
-        )
-    return "L" if lefts[0] else "R"
+            travel = dirs[0] if kind == "start" else (-dirs[0][0], -dirs[0][1])
+            lefts = {_cross(travel, w) > 0 for w in odirs}
+        if len(lefts) != 1:
+            raise DegeneracyError(f"side of {c.cid} ambiguous at endpoint contact {p} with {other.cid}")
+        letters += "L" if lefts.pop() else "R"
+    return TangencyType(letters)
 
 
 # --- pairwise common points -----------------------------------------------
@@ -279,7 +266,7 @@ def _pair_points_int(segs1: list, segs2: list, scale: int) -> List[Tuple[Point, 
     j_lo = 0
     n2 = len(segs2)
     for s1 in segs1:
-        minx1, maxx1, miny1, maxy1, ax, ay, bx, by = s1
+        minx1, maxx1, miny1, maxy1, ax, ay, bx, by, _ = s1
         d1x, d1y = bx - ax, by - ay
         while j_lo < n2 and segs2[j_lo][1] < minx1:
             j_lo += 1
@@ -364,6 +351,9 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
 # --- families --------------------------------------------------------------
 
 
+_DISJOINT = ("ok", ())  # the contact-map entry of every disjoint pair
+
+
 class CurveFamily:
     """An ordered collection of chains plus window/ground metadata.
 
@@ -412,7 +402,8 @@ class CurveFamily:
 
     def contacts(self) -> Dict[Tuple[str, str], tuple]:
         """Pairwise contact map {(id_i, id_j): ('ok', [(pt, kind), ...]) or
-        ('degenerate', reason)} for i < j in family order."""
+        ('degenerate', reason)} for i < j in family order; every disjoint
+        pair shares the one entry `_DISJOINT`."""
         if self._contacts is None:
             scale = self.scale
             result: Dict[Tuple[str, str], tuple] = {}
@@ -421,9 +412,11 @@ class CurveFamily:
                 for j in range(i + 1, len(cs)):
                     key = (cs[i].cid, cs[j].cid)
                     try:
-                        result[key] = ("ok", common_points(cs[i], cs[j], scale))
+                        pts = common_points(cs[i], cs[j], scale)
                     except DegeneracyError as e:
                         result[key] = ("degenerate", str(e))
+                        continue
+                    result[key] = ("ok", pts) if pts else _DISJOINT
             self._contacts = result
         return self._contacts
 
@@ -578,13 +571,6 @@ class TangencyGraph:
     def degree(self, cid: str) -> int:
         return sum(1 for e in self.edges if cid in (e.c1, e.c2))
 
-    def adjacency(self) -> Dict[str, List[str]]:
-        adj: Dict[str, List[str]] = {v: [] for v in self.nodes}
-        for e in self.edges:
-            adj[e.c1].append(e.c2)
-            adj[e.c2].append(e.c1)
-        return adj
-
     def is_forest(self) -> bool:
         parent = {v: v for v in self.nodes}
 
@@ -605,22 +591,32 @@ class TangencyGraph:
 def tangency_graph(family: CurveFamily, strict: bool = True) -> TangencyGraph:
     """Graph with one edge per touching pair (point and type attached).
 
-    With strict=True (default) a degenerate or non-1-intersecting family is
-    refused; validate first."""
+    With strict=True (default) a family that is not 1-intersecting is
+    refused with a DegeneracyError naming its first witness: a degenerate
+    or multi pair, else a triple point, else a non-simple chain.  With
+    strict=False degenerate pairs are skipped."""
     contacts = family.contacts()
+    rep = (family._report or validate_family(family)) if strict else None
+    if rep is not None and not rep.is_1_intersecting:
+        for (i, j), (status, data) in contacts.items():
+            if status == "degenerate":
+                raise DegeneracyError(data)  # the stored message names the pair
+            if len(data) > 1:
+                raise DegeneracyError(f"{i}/{j}: {len(data)} common points; not 1-intersecting")
+        if rep.triple_points:
+            (x, y), owners = rep.triple_points[0]
+            where = f"{'/'.join(owners)}: triple point ({format_rat(x)}, {format_rat(y)})"
+        else:
+            where = f"{rep.non_simple[0]}: chain is not simple"
+        raise DegeneracyError(f"{where}; not 1-intersecting")
     edges = []
     for (i, j), (status, data) in contacts.items():
         if status == "degenerate":
-            if strict:
-                raise DegeneracyError(data)  # the stored message names the pair
             continue
-        if strict and len(data) > 1:
-            raise DegeneracyError(f"{i}/{j}: {len(data)} common points; not 1-intersecting")
         for p, kind in data:
             if kind == "touch":
-                edges.append(
-                    TangencyEdge(i, j, p, tangency_type(family.curve(i), family.curve(j), p))
-                )
+                ci, cj = family.curve(i), family.curve(j)
+                edges.append(TangencyEdge(i, j, p, _touch_type(ci, cj, p, _arcs(ci, p), _arcs(cj, p))))
     return TangencyGraph(nodes=family.ids, edges=edges)
 
 

@@ -9,15 +9,19 @@ deliberately different routes than the library code.
 from fractions import Fraction
 from itertools import combinations
 import random
+from typing import List, Tuple
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from tanglab import (
     CurveFamily,
+    DegeneracyError,
     PolyChain,
     Point,
     Segment,
+    TangencyType,
+    on_segment,
     pt,
     segment_intersect,
     validate_family,
@@ -236,13 +240,68 @@ def degenerate_chains(draw):
     return PolyChain("c", [(x / den, y / den) for x, y in verts])
 
 
+# A grid shift whose denominators are near 2^80, as on grounded k=4's grid.
+BIG_SHIFT = (F(5, 2**79 + 1), F(-7, 3**50))
+
+
+@st.composite
+def chain_pairs(draw):
+    """Two chains on a small grid, the second built against the first so
+    that their contacts are the cases the classifier must get right.  Each
+    vertex of the second chain is free, a vertex of the first (a shared
+    vertex, or an endpoint contact at its ends), a point inside an edge of
+    the first (a vertex on an edge), or a step from the previous vertex
+    along the direction of an edge of the first: from a point of that
+    edge's line this is a collinear point touch (outward from its end) or a
+    turn-back along it (an overlap).  Both chains are then divided by one
+    rational and shifted by one vector, with denominators up to near 2^80."""
+    coord = st.integers(min_value=0, max_value=4)
+    first = [(F(draw(coord)), F(draw(coord)))]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        v = (F(draw(coord)), F(draw(coord)))
+        if v != first[-1]:
+            first.append(v)
+    assume(len(first) >= 2)
+    edges = list(zip(first, first[1:]))
+    second = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        moves = ["free", "vertex", "on-edge"] + (["along"] if second else [])
+        move = draw(st.sampled_from(moves))
+        if move == "free":
+            v = (F(draw(coord)), F(draw(coord)))
+        elif move == "vertex":
+            v = draw(st.sampled_from(first))
+        else:
+            (ax, ay), (bx, by) = draw(st.sampled_from(edges))
+            if move == "on-edge":
+                t = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3)]))
+                v = (ax + t * (bx - ax), ay + t * (by - ay))
+            else:
+                t = draw(st.sampled_from([F(-1), F(-1, 2), F(1, 2), F(1)]))
+                v = (second[-1][0] + t * (bx - ax), second[-1][1] + t * (by - ay))
+        if not second or v != second[-1]:
+            second.append(v)
+    assume(len(second) >= 2)
+    den = draw(st.sampled_from([F(1), F(3), F(7, 2), F(2**80 - 1, 3)]))
+    sx, sy = draw(st.sampled_from([(F(0), F(0)), BIG_SHIFT]))
+    return tuple(
+        PolyChain(cid, [(x / den + sx, y / den + sy) for x, y in verts])
+        for cid, verts in (("a", first), ("b", second))
+    )
+
+
 # --- independent oracles ---------------------------------------------------
+
+
+def chain_edges(chain):
+    """The chain's edges as Fraction segments, in chain order."""
+    return [Segment(a, b) for a, b in zip(chain.vertices, chain.vertices[1:])]
 
 
 def simple_oracle(chain):
     """Simplicity recomputed on Fractions with segment_intersect: non-adjacent
     edges share no point, adjacent edges share no sub-segment."""
-    edges = chain.edges()
+    edges = chain_edges(chain)
     for i, j in combinations(range(len(edges)), 2):
         try:
             p = segment_intersect(edges[i], edges[j])
@@ -253,6 +312,134 @@ def simple_oracle(chain):
     return True
 
 
+# The cyclic-order classification as it ran on Fractions before it moved to
+# the integer kernel, kept as the oracle of the int locator; only the
+# turn-back case of `_in_ccw_arc` changed with the library.
+
+
+def locate_on_chain(chain: PolyChain, p: Point) -> Tuple[str, Tuple[int, Fraction]]:
+    """Where does p sit on the chain?  Returns (kind, (edge_index, parameter))
+    with kind in {start, end, vertex, interior}.  Position orders points along
+    the chain.  Raises ValueError when p is not on the chain."""
+    verts = chain.vertices
+    for j, v in enumerate(verts):
+        if v == p:
+            if j == 0:
+                return "start", (0, Fraction(0))
+            if j == len(verts) - 1:
+                return "end", (j - 1, Fraction(1))
+            return "vertex", (j, Fraction(0))
+    for i, (a, b) in enumerate(zip(verts, verts[1:])):
+        if on_segment(p, Segment(a, b)):
+            dx, dy = b.x - a.x, b.y - a.y
+            t = (p.x - a.x) / dx if dx != 0 else (p.y - a.y) / dy
+            return "interior", (i, t)
+    raise ValueError(f"point {p} not on chain {chain.cid}")
+
+
+def chain_position(chain: PolyChain, p: Point) -> Tuple[int, Fraction]:
+    """Sort key for the order of points along the chain."""
+    kind, pos = locate_on_chain(chain, p)
+    if kind == "vertex":
+        return pos[0] - 1, Fraction(1)  # canonical: end of the previous edge
+    return pos
+
+
+def emanating_dirs(chain: PolyChain, p: Point) -> Tuple[str, List[Tuple[Fraction, Fraction]]]:
+    """Directions of the arcs of the chain leaving p: [toward previous, toward next]
+    where present.  Kind as in locate_on_chain."""
+    kind, (i, t) = locate_on_chain(chain, p)
+    verts = chain.vertices
+    if kind == "start":
+        v = verts[1]
+        return kind, [(v.x - p.x, v.y - p.y)]
+    if kind == "end":
+        v = verts[-2]
+        return kind, [(v.x - p.x, v.y - p.y)]
+    a, b = verts[i - 1 if kind == "vertex" else i], verts[i + 1]
+    return kind, [(a.x - p.x, a.y - p.y), (b.x - p.x, b.y - p.y)]
+
+
+def _cross(u, w) -> Fraction:
+    return u[0] * w[1] - u[1] * w[0]
+
+
+def _in_ccw_arc(u1, u2, w) -> bool:
+    """Is direction w strictly inside the ccw arc from u1 to u2?
+    Assumes w is not collinear-equal to u1 or u2 (caller screens that)."""
+    c12 = _cross(u1, u2)
+    c1w = _cross(u1, w)
+    cw2 = _cross(w, u2)
+    if c12 > 0:
+        return c1w > 0 and cw2 > 0
+    if c12 < 0:
+        return c1w > 0 or cw2 > 0
+    # u1, u2 exactly opposite: the arc is the open half-plane left of u1;
+    # u1, u2 equal (the chain turns back at p): the arc is empty
+    return c1w > 0 and u1[0] * u2[0] + u1[1] * u2[1] < 0
+
+
+def classify_contact(c1: PolyChain, c2: PolyChain, p: Point) -> str:
+    """'cross' or 'touch' at a known common point p (cyclic-order test)."""
+    _, d1 = emanating_dirs(c1, p)
+    _, d2 = emanating_dirs(c2, p)
+    for u in d1:
+        for w in d2:
+            if _cross(u, w) == 0 and u[0] * w[0] + u[1] * w[1] > 0:
+                raise DegeneracyError(
+                    f"collinear emanating arcs of {c1.cid} and {c2.cid} at {p}"
+                )
+    if len(d1) == 1 or len(d2) == 1:
+        return "touch"
+    inside = [_in_ccw_arc(d1[0], d1[1], w) for w in d2]
+    return "touch" if inside[0] == inside[1] else "cross"
+
+
+def tangency_type(c1: PolyChain, c2: PolyChain, p: Point) -> TangencyType:
+    """Type of the touch at p (letters: side of c1, then side of c2)."""
+    if classify_contact(c1, c2, p) != "touch":
+        raise DegeneracyError(f"{c1.cid} and {c2.cid} cross at {p}; no tangency type")
+    s1 = _side_letter(c1, c2, p)
+    s2 = _side_letter(c2, c1, p)
+    return TangencyType(s1 + s2)
+
+
+def _side_letter(c: PolyChain, other: PolyChain, p: Point) -> str:
+    """On which side of c (L/R w.r.t. its orientation) does `other` lie near p?"""
+    kind, dirs = emanating_dirs(c, p)
+    _, odirs = emanating_dirs(other, p)
+    if kind in ("interior", "vertex"):
+        d_back, d_fwd = dirs[0], dirs[1]
+        lefts = [_in_ccw_arc(d_fwd, d_back, w) for w in odirs]
+    else:
+        if kind == "start":
+            travel = dirs[0]
+        else:
+            travel = (-dirs[0][0], -dirs[0][1])
+        lefts = [_cross(travel, w) > 0 for w in odirs]
+    if len(set(lefts)) != 1:
+        raise DegeneracyError(
+            f"side of {c.cid} ambiguous at endpoint contact {p} with {other.cid}"
+        )
+    return "L" if lefts[0] else "R"
+
+
+def common_points_oracle(c1, c2):
+    """common_points recomputed on Fractions: segment_intersect on every pair
+    of edges, then the cyclic-order test at every common point, proper
+    crossings included.  Overlaps raise DegeneracyError, as in the library."""
+    pts = set()
+    for e1 in chain_edges(c1):
+        for e2 in chain_edges(c2):
+            try:
+                p = segment_intersect(e1, e2)
+            except OverlapError as e:
+                raise DegeneracyError(str(e)) from None
+            if p is not None:
+                pts.add(p)
+    return [(p, classify_contact(c1, c2, p)) for p in sorted(pts)]
+
+
 def envelope_oracle(family):
     """Pointwise-min winner at every event-interval midpoint."""
     chains = family.curves
@@ -261,8 +448,8 @@ def envelope_oracle(family):
     for c in chains:
         xs.update(v.x for v in c.vertices)
     for c1, c2 in combinations(chains, 2):
-        for e1 in c1.edges():
-            for e2 in c2.edges():
+        for e1 in chain_edges(c1):
+            for e2 in chain_edges(c2):
                 try:
                     p = segment_intersect(e1, e2)
                 except OverlapError:
@@ -305,7 +492,7 @@ def euler_cell_count(partition, box=10**6):
     B = F(box)
     segs = []
     for c in partition.defining.curves:
-        segs.extend(c.edges())
+        segs.extend(chain_edges(c))
     for x_e in partition.xs:
         # a wall runs from its event point to the nearest curve below and above
         vals = [

@@ -113,6 +113,9 @@ def test_budget_exceeds_matches_fraction_oracle(q, p, r, k, delta):
     f = SparsenessBudget(q, e)
     for xx in (x, x + 1):
         assert f.exceeds(edges, xx) == helpers.exceeds_oracle(q, e, edges, xx)
+        # value: exact for an integer exponent, else the float expression bit for bit
+        want = q * F(xx) ** e.numerator if e.denominator == 1 else float(q) * float(xx) ** float(e)
+        assert f.value(xx) == want
 
 
 def test_sub_bineighborhood_worst_slack_on_c4():

@@ -1,22 +1,27 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from tanglab import (
     CurveFamily,
     DegeneracyError,
     PolyChain,
+    Point,
     TangencyType,
     common_points,
+    gen_doubling,
+    gen_grounded_family,
+    gen_vee_fan,
     pt,
     subchain,
     tangency_graph,
     tangency_type,
     validate_family,
 )
-from tanglab.curves import classify_contact
+from tanglab import curves
+from tanglab.curves import chain_position, classify_contact
 
 import helpers
 
@@ -110,6 +115,13 @@ def test_endpoint_contact_is_touch():
     a = chain("a", (0, 0), (1, 1))
     b = chain("b", (1, 1), (2, 0))
     assert common_points(a, b) == [(pt(1, 1), "touch")]
+
+
+def test_a_chain_turning_back_at_the_contact_touches_in_either_order():
+    a = chain("a", (0, 0), (1, 0), (0, 2))
+    b = chain("b", (0, 1), (1, 0), (0, 1))  # leaves (1, 0) the way it came
+    assert common_points(a, b) == common_points(b, a) == [(pt(1, 0), "touch")]
+    assert validate_family(CurveFamily([b, a])).tangency_count == 1
 
 
 def test_multi_crossing_pair():
@@ -222,6 +234,53 @@ def test_tangency_graph_strict_refuses_multi():
     assert tangency_graph(fam, strict=False).edge_count == 0
 
 
+TRIPLE = [((0, -1), (2, 1)), ((0, 1), (2, -1)), ((0, 3), (1, 0), (2, 3))]
+
+
+def test_tangency_graph_strict_refuses_a_triple_point():
+    # a and b cross at (1, 0), where the vee c touches both
+    fam = CurveFamily([chain(cid, *v) for cid, v in zip("abc", TRIPLE)])
+    rep = validate_family(fam)
+    assert len(rep.triple_points) == 1 and not rep.is_1_intersecting
+    with pytest.raises(DegeneracyError) as e:
+        tangency_graph(fam)
+    assert str(e.value) == "a/b/c: triple point (1, 0); not 1-intersecting"
+    assert tangency_graph(fam, strict=False).edge_count == 2
+
+
+def test_tangency_graph_strict_refuses_a_non_simple_chain():
+    fam = CurveFamily(
+        [
+            chain("a", (0, 0), (2, 2), (2, 0), (0, 2)),  # crosses itself at (1, 1)
+            chain("b", (3, 0), (4, 1), (5, 0)),
+            chain("c", (3, 2), (4, 1), (5, 2)),
+        ]
+    )
+    with pytest.raises(DegeneracyError) as e:
+        tangency_graph(fam)  # validates the family itself
+    assert str(e.value) == "a: chain is not simple; not 1-intersecting"
+    assert tangency_graph(fam, strict=False).edge_count == 1
+
+
+def test_tangency_graph_types_touches_without_reclassifying(monkeypatch):
+    fam = gen_vee_fan(8)
+    validate_family(fam)  # the contact map classifies every contact once
+
+    def refuse(*args):
+        raise AssertionError("classify_contact called again")
+
+    monkeypatch.setattr(curves, "classify_contact", refuse)
+    tg = tangency_graph(fam)
+    assert tg.edge_count == 7 and all(isinstance(e.type, TangencyType) for e in tg.edges)
+
+
+def test_disjoint_pairs_share_one_entry():
+    fam = CurveFamily([chain(c, (0, y), (1, y)) for c, y in zip("abc", range(3))])
+    first, *rest = fam.contacts().values()
+    assert first == ("ok", ()) and all(e is first for e in rest)
+    assert validate_family(fam).disjoint_count == 3
+
+
 # --- properties ------------------------------------------------------------
 
 
@@ -241,3 +300,192 @@ def test_common_points_symmetric(t1, t2):
     assert status == status2
     if status == "ok":
         assert [(p, k) for p, k in data] == [(p, k) for p, k in data2]
+
+
+# --- the int classifier against the Fraction oracle ---------------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegeneracyError:
+        return "degenerate"
+
+
+def _pair(first, second, den=1, shift=(0, 0)):
+    return tuple(
+        chain(cid, *[(F(x) / den + shift[0], F(y) / den + shift[1]) for x, y in verts])
+        for cid, verts in (("a", first), ("b", second))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(helpers.chain_pairs())
+@example(_pair([(0, 0), (2, 2), (4, 0)], [(0, 4), (2, 2), (4, 4)]))  # shared vertex
+@example(_pair([(0, 0), (4, 0)], [(0, 2), (2, 0), (4, 2)]))  # vertex on an edge
+@example(_pair([(0, 0), (2, 0)], [(2, 0), (4, 0), (4, 2)]))  # collinear point touch
+@example(_pair([(0, 0), (2, 2)], [(2, 2), (4, 0)]))  # endpoint contact
+@example(_pair([(0, 0), (4, 0)], [(2, 2), (2, 0), (1, 0)]))  # turn-back along an edge
+@example(_pair([(0, 0), (4, 0)], [(2, 2), (2, 0), (3, 3)]))  # touch inside an edge
+@example(_pair([(0, 0), (3, 1), (4, 0)], [(0, 1), (3, 1), (4, 3)], F(2**80 - 1, 3), helpers.BIG_SHIFT))
+@example(_pair([(0, 0), (3, 1)], [(0, 1), (3, 0)], F(2**80 - 1, 3), helpers.BIG_SHIFT))  # crossing
+def test_common_points_and_types_match_fraction_oracle(pair):
+    c1, c2 = pair
+    got = _outcome(common_points, c1, c2)
+    assert got == _outcome(helpers.common_points_oracle, c1, c2)
+    if got == "degenerate":
+        event("degenerate")
+        return
+    event(f"{len(got)} common points")
+    for p, kind in got:
+        event(kind)
+        assert classify_contact(c1, c2, p) == kind
+        for c in (c1, c2):
+            assert chain_position(c, p) == helpers.chain_position(c, p)
+            event(helpers.locate_on_chain(c, p)[0])
+        if kind == "touch":
+            assert _outcome(tangency_type, c1, c2, p) == _outcome(helpers.tangency_type, c1, c2, p)
+
+
+
+# --- metamorphic properties of contacts and tangency types --------------------
+
+
+def _mapped(c, f, reverse=False):
+    verts = [f(v) for v in c.vertices]
+    return PolyChain(c.cid, verts[::-1] if reverse else verts)
+
+
+def _flipped(t, k):
+    """t with letter k swapped between L and R (an outcome stays as it is)."""
+    if not isinstance(t, TangencyType):
+        return t
+    letters = list(t.value)
+    letters[k] = "R" if letters[k] == "L" else "L"
+    return TangencyType("".join(letters))
+
+
+def _generic_touches(c1, c2):
+    """Touch points at which no arc of one chain is collinear with an arc of
+    the other and neither chain turns back: there a reversal or a mirror
+    must move the side letters."""
+    pts = _outcome(common_points, c1, c2)
+    if pts == "degenerate":
+        return []
+    out = []
+    for p, kind in pts:
+        (_, d1), (_, d2) = helpers.emanating_dirs(c1, p), helpers.emanating_dirs(c2, p)
+        collinear = any(helpers._cross(u, w) == 0 for u in d1 for w in d2)
+        turn_back = any(
+            len(d) == 2 and helpers._cross(*d) == 0 and d[0][0] * d[1][0] + d[0][1] * d[1][1] > 0 for d in (d1, d2)
+        )
+        if kind == "touch" and not collinear and not turn_back:
+            out.append(p)
+    return out
+
+
+def _mirror(v):
+    return Point(v.x, -v.y)
+
+
+def _check_reversal_and_mirror(c1, c2, p):
+    t = _outcome(tangency_type, c1, c2, p)
+    assert _outcome(tangency_type, _mapped(c1, lambda v: v, True), c2, p) == _flipped(t, 0)
+    assert _outcome(tangency_type, c1, _mapped(c2, lambda v: v, True), p) == _flipped(t, 1)
+    assert _outcome(tangency_type, _mapped(c1, _mirror), _mapped(c2, _mirror), _mirror(p)) == _flipped(
+        _flipped(t, 0), 1
+    )
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(helpers.chain_pairs())
+def test_reversal_flips_one_letter_and_mirroring_swaps_both(pair):
+    # a chain through p twice is located at its first pass, which reversal moves
+    assume(all(c.is_simple() for c in pair))
+    for p in _generic_touches(*pair):
+        event(str(_check_reversal_and_mirror(*pair, p)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_vee_fan(6),
+        lambda: gen_doubling(3),
+        lambda: gen_grounded_family(2),
+        lambda: helpers.two_grounded_instance(0)[2],
+        lambda: helpers.random_precisely1_family(3),
+    ],
+)
+def test_reversal_and_mirror_on_families(make):
+    fam = make()
+    edges = tangency_graph(fam).edges
+    assert edges
+    for e in edges:
+        c1, c2 = fam.curve(e.c1), fam.curve(e.c2)
+        assert e.point in _generic_touches(c1, c2)
+        _check_reversal_and_mirror(c1, c2, e.point)
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=2**40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(helpers.chain_pairs(), rationals, rationals, st.fractions(min_value=F(1, 97), max_value=97, max_denominator=2**40))
+def test_translation_and_scaling_keep_points_kinds_and_types(pair, dx, dy, a):
+    assume(a > 0)
+
+    def f(v):
+        return Point(a * v.x + dx, a * v.y + dy)
+
+    c1, c2 = pair
+    m1, m2 = _mapped(c1, f), _mapped(c2, f)
+    got = _outcome(common_points, c1, c2)
+    if got == "degenerate":
+        assert _outcome(common_points, m1, m2) == "degenerate"
+        return
+    assert common_points(m1, m2) == [(f(p), kind) for p, kind in got]
+    for p, kind in got:
+        if kind == "touch":
+            assert _outcome(tangency_type, m1, m2, f(p)) == _outcome(tangency_type, c1, c2, p)
+
+
+def _report_counts(rep):
+    return (
+        rep.n,
+        rep.is_1_intersecting,
+        rep.is_precisely_1,
+        rep.all_x_monotone,
+        rep.bi_infinite_ok,
+        rep.grounded_ok,
+        rep.tangency_count,
+        rep.crossing_count,
+        rep.disjoint_count,
+        len(rep.non_simple),
+        len(rep.degenerate_pairs),
+        len(rep.multi_pairs),
+        len(rep.triple_points),
+        len(rep.endpoint_contacts),
+    )
+
+
+lattice_chain = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=4).filter(
+    lambda vs: all(a != b for a, b in zip(vs, vs[1:]))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(lattice_chain, min_size=2, max_size=6), st.data())
+def test_permuting_curves_keeps_report_counts(vertex_lists, data):
+    chains = [chain(f"c{i}", *vs) for i, vs in enumerate(vertex_lists)]
+    order = data.draw(st.permutations(range(len(chains))))
+    rep = validate_family(CurveFamily(chains))
+    event("1-intersecting" if rep.is_1_intersecting else "not 1-intersecting")
+    assert _report_counts(validate_family(CurveFamily([chains[i] for i in order]))) == _report_counts(rep)
+
+
+def test_permuting_a_grounded_family_keeps_report_counts():
+    fam = gen_grounded_family(2)
+    rep = validate_family(fam)
+    back = validate_family(CurveFamily(fam.curves[::-1], ground=fam.ground))
+    assert _report_counts(back) == _report_counts(rep) and rep.tangency_count > 0

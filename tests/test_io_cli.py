@@ -171,6 +171,29 @@ def test_cli_validate_failure_exit_1(tmp_path, capsys):
     assert run(["validate", "--in", p]) == 1
 
 
+@pytest.mark.parametrize(
+    "curves, message",
+    [
+        (
+            [[(0, -1), (2, 1)], [(0, 1), (2, -1)], [(0, 3), (1, 0), (2, 3)]],
+            "c0/c1/c2: triple point (1, 0); not 1-intersecting",
+        ),
+        (
+            [[(0, 0), (2, 2), (2, 0), (0, 2)], [(3, 0), (4, 1), (5, 0)], [(3, 2), (4, 1), (5, 2)]],
+            "c0: chain is not simple; not 1-intersecting",
+        ),
+    ],
+)
+def test_cli_count_refuses_a_family_that_is_not_1_intersecting(tmp_path, capsys, curves, message):
+    p = str(tmp_path / "f.txt")
+    save_family(CurveFamily([PolyChain(f"c{i}", vs) for i, vs in enumerate(curves)]), p)
+    assert run(["validate", "--in", p]) == 1
+    capsys.readouterr()
+    assert run(["count", "--in", p]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() == message
+
+
 def test_cli_envelope_and_visibility_reject_non_x_monotone(tmp_path, capsys):
     p = tmp_path / "f.txt"
     p.write_text("tanglab-family 1\ncurve a 3\n0 0\n2 2\n1 -1\ncurve b 2\n0 1\n2 1\n")
