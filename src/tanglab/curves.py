@@ -58,7 +58,7 @@ class ContactKind(enum.Enum):
 class PolyChain:
     """A simple oriented polygonal chain with rational vertices."""
 
-    __slots__ = ("cid", "vertices", "_scale", "_scaled", "__weakref__")
+    __slots__ = ("cid", "vertices", "_scale", "_scaled", "_xmono", "__weakref__")
 
     def __init__(self, cid: str, vertices: Iterable[Point]):
         self.cid = str(cid)
@@ -72,6 +72,7 @@ class PolyChain:
                 raise ValueError(f"chain {cid}: repeated consecutive vertex {a}")
         self._scale: Optional[int] = None
         self._scaled: Dict[int, list] = {}
+        self._xmono: Optional[bool] = None
 
     def __repr__(self) -> str:
         return f"PolyChain({self.cid!r}, {len(self.vertices)} vertices)"
@@ -85,8 +86,11 @@ class PolyChain:
         return self.vertices[-1]
 
     def is_x_monotone(self) -> bool:
-        """Strict monotonicity: vertex abscissas strictly increase (no vertical edges)."""
-        return all(a.x < b.x for a, b in zip(self.vertices, self.vertices[1:]))
+        """Strict monotonicity: vertex abscissas strictly increase (no vertical
+        edges).  Computed once per chain."""
+        if self._xmono is None:
+            self._xmono = all(a.x < b.x for a, b in zip(self.vertices, self.vertices[1:]))
+        return self._xmono
 
     # --- integer fast path -------------------------------------------------
 

@@ -7,28 +7,32 @@ cutting search, and bi-infinite extension by steep rays.
 Everything reads one sweep (`_sweep`) over the family's *event* abscissas —
 chain endpoints and pairwise common points, the latter from the family's
 cached contact map (`CurveFamily.contacts`).  No two chains meet inside a
-slab between consecutive events, so each slab has one strict vertical
-order, found by evaluating the chains at the slab's exact rational
-midpoint; all comparisons are exact.
+slab between consecutive events, so the vertical order changes only at an
+event point, among the chains through it: the sweep updates the order
+locally at each event point instead of sorting every slab, and walls only
+the gaps next to those chains.  Point location bisects a slab's order.
+All comparisons are exact, on ints of the family's scaled grid.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from .curves import CurveFamily, DegeneracyError, PolyChain, common_points, validate_family
 from .geom import Point
 
-NEG_INF = float("-inf")
-POS_INF = float("inf")
-
 
 def value_at(c: PolyChain, x: Fraction) -> Fraction:
-    """y-value of an x-monotone chain at abscissa x (exact interpolation)."""
+    """y-value of an x-monotone chain at abscissa x (exact interpolation).
+    Raises ValueError when c is not x-monotone."""
+    if not c.is_x_monotone():
+        raise ValueError(f"{c.cid} is not x-monotone")
     x = Fraction(x)
     verts = c.vertices
     if not (verts[0].x <= x <= verts[-1].x):
@@ -67,39 +71,113 @@ def _pair_points(family: CurveFamily) -> List[Tuple[Tuple[str, str], List[Point]
     return out
 
 
+def _grid(p, scale: int) -> Tuple[int, int, int]:
+    """Point p on the grid scaled by `scale`, as int homogeneous coordinates
+    (X, Y, W) with W > 0."""
+    x, y = Fraction(p[0]), Fraction(p[1])
+    w = lcm(x.denominator, y.denominator)
+    return x.numerator * scale * (w // x.denominator), y.numerator * scale * (w // y.denominator), w
+
+
+_MINX = itemgetter(0)
+
+
+def _edge(c: PolyChain, scale: int, X: int, W: int) -> tuple:
+    """c's int segment (`scaled_segments`) leaving abscissa X/W, or its last
+    one when X/W is c's right end."""
+    segs = c.scaled_segments(scale)
+    return segs[bisect_right(segs, X // W, key=_MINX) - 1]
+
+
+def _side(c: PolyChain, scale: int, X: int, Y: int, W: int) -> int:
+    """Positive when the grid point (X/W, Y/W) lies above chain c, zero on
+    it, negative below; X/W must lie in c's span."""
+    _, _, _, _, ax, ay, bx, by, _ = _edge(c, scale, X, W)
+    return (bx - ax) * (Y - ay * W) - (by - ay) * (X - ax * W)
+
+
+def _slope(seg: tuple) -> Fraction:
+    """Exact slope of an int segment of `_int_segments`."""
+    return Fraction(seg[7] - seg[5], seg[6] - seg[4])
+
+
+@dataclass
+class Trapezoid:
+    index: int
+    x_lo: Optional[Fraction]  # None = unbounded left
+    x_hi: Optional[Fraction]  # None = unbounded right
+    bottom: Optional[str]  # floor curve id, None = open below
+    top: Optional[str]  # ceiling curve id, None = open above
+
+
 def _sweep(family: CurveFamily):
-    """(events_by_x, xs, slabs) of an x-monotone family.
+    """(events_by_x, xs, slabs, cells) of an x-monotone family.
 
     events_by_x maps each event abscissa to the sorted ys of the event points
     there (chain endpoints and pairwise common points); xs are its keys in
-    order.  slabs yields, left to right and only as far as it is read, the
-    chains spanning each open slab (xs[j], xs[j+1]) from bottom to top: the
-    previous slab's order less the chains ending at xs[j], plus those
-    starting there, sorted at the slab midpoint."""
-    events = {e for c in family.curves for e in (c.start, c.end)}
-    for _, pts in _pair_points(family):
-        events.update(pts)
+    order.  The chains through an event point p form one block of the
+    vertical order just left of p.  At each p, in order, the sweep finds that
+    block by bisection at p, drops the chains ending at p, adds those
+    starting there, and sorts the block by outgoing slope: a crossing pair
+    swaps and a touching pair keeps its order.  The rest of the order is left
+    as it is; there is no sort at slab midpoints.  The gaps next to the block
+    are walled: each closes its cell, and the new block's gaps open new ones.
+
+    slabs yields, left to right and only as far as it is read, (order, gaps)
+    for the open slab right of each xs[j]: its chains from bottom to top, and
+    the cell of each gap (gaps[k] lies below order[k], gaps[-1] above the
+    top).  cells holds the Trapezoids opened so far, cell 0 left of every
+    event; a cell's x_hi is set when it closes."""
+    scale = family.scale
+    through: Dict[Point, Set[PolyChain]] = {}
+    for c in family.curves:
+        through.setdefault(c.start, set()).add(c)
+        through.setdefault(c.end, set()).add(c)
+    for (a, b), pts in _pair_points(family):
+        for p in pts:
+            through.setdefault(p, set()).update((family.curve(a), family.curve(b)))
     events_by_x: Dict[Fraction, List[Fraction]] = {}
-    for p in sorted(events):
+    for p in sorted(through):
         events_by_x.setdefault(p.x, []).append(p.y)
     xs = list(events_by_x)
-    starting: Dict[Fraction, List[PolyChain]] = {}
-    ending: Dict[Fraction, Set[str]] = {}
-    for c in family.curves:
-        starting.setdefault(c.start.x, []).append(c)
-        ending.setdefault(c.end.x, set()).add(c.cid)
+    cells = [Trapezoid(0, None, None, None, None)]
 
     def slabs():
         order: List[PolyChain] = []
-        for a, b in zip(xs, xs[1:]):
-            mid = (a + b) / 2
-            if a in ending:
-                order = [c for c in order if c.cid not in ending[a]]
-            order = order + starting.get(a, [])
-            order.sort(key=lambda c: value_at(c, mid))
-            yield order
+        gaps = [0]
+        for x in xs:
+            new: List[PolyChain] = []
+            new_gaps: List[Optional[int]] = []
+            opened = []  # indices of the new gaps that open a cell
+            top = -1  # gap of `order` above the previous block
+            for y in events_by_x[x]:
+                X, Y, W = _grid((x, y), scale)
+                on = through[Point(x, y)]
+                lo = bisect_left(order, 0, max(top, 0), key=lambda c: -_side(c, scale, X, Y, W))
+                if lo > top:
+                    new += order[max(top, 0):lo]
+                    new_gaps += gaps[top + 1:lo]
+                    opened.append(len(new_gaps))
+                    new_gaps.append(None)
+                top = lo + sum(c.start.x < x for c in on)
+                for g in gaps[lo:top + 1]:
+                    cells[g].x_hi = x
+                leaving = [c for c in on if c.end.x > x]
+                for c in sorted(leaving, key=lambda c: _slope(_edge(c, scale, X, W))):
+                    new.append(c)
+                    opened.append(len(new_gaps))
+                    new_gaps.append(None)
+            new += order[top:]
+            new_gaps += gaps[top + 1:]
+            for k in opened:
+                new_gaps[k] = len(cells)
+                below = new[k - 1].cid if k else None
+                above = new[k].cid if k < len(new) else None
+                cells.append(Trapezoid(len(cells), x, None, below, above))
+            order, gaps = new, new_gaps
+            yield order, gaps
 
-    return events_by_x, xs, slabs()
+    return events_by_x, xs, slabs(), cells
 
 
 def starts_below(c1: PolyChain, c2: PolyChain) -> bool:
@@ -146,12 +224,12 @@ def lower_envelope(family: CurveFamily) -> List[EnvelopePiece]:
         hi = min(c.end.x for c in chains)
     if lo >= hi:
         raise ValueError("chains share no open x-interval")
-    _, xs, slabs = _sweep(family)
+    _, xs, slabs, _ = _sweep(family)
     for c in chains:
         if not (c.start.x <= lo and hi <= c.end.x):
             raise ValueError(f"{c.cid} does not span the window [{lo}, {hi}]")
     pieces: List[EnvelopePiece] = []
-    for a, b, order in zip(xs, xs[1:], slabs):
+    for a, b, (order, _) in zip(xs, xs[1:], slabs):
         if a >= hi:
             break
         if b <= lo:
@@ -165,146 +243,72 @@ def lower_envelope(family: CurveFamily) -> List[EnvelopePiece]:
 
 
 def vertical_visibility_pairs(family: CurveFamily) -> Set[Tuple[str, str]]:
-    """Disjoint pairs that are vertically adjacent in some slab."""
-    _, _, slabs = _sweep(family)
+    """Disjoint pairs that are vertically adjacent in some slab: a pair
+    becomes adjacent only where a gap opens between them, so these are the
+    floor and ceiling of some cell of the sweep."""
+    _, _, slabs, cells = _sweep(family)
+    for _ in slabs:
+        pass
     disjoint = {frozenset(key) for key, pts in _pair_points(family) if not pts}
-    out: Set[Tuple[str, str]] = set()
-    for order in slabs:
-        for u, v in zip(order, order[1:]):
-            if frozenset((u.cid, v.cid)) in disjoint:
-                out.add(tuple(sorted((u.cid, v.cid))))
-    return out
+    return {
+        tuple(sorted((t.bottom, t.top)))
+        for t in cells
+        if frozenset((t.bottom, t.top)) in disjoint
+    }
 
 
 # --- trapezoidal decomposition --------------------------------------------
 
 
-@dataclass
-class Trapezoid:
-    index: int
-    x_lo: Optional[Fraction]  # None = unbounded left
-    x_hi: Optional[Fraction]  # None = unbounded right
-    bottom: Optional[str]  # floor curve id, None = open below
-    top: Optional[str]  # ceiling curve id, None = open above
-    strips: List[Tuple[int, int]] = field(default_factory=list)
-
-
 class Partition:
     """Vertical decomposition of the plane induced by a family of x-monotone
     chains: walls erected up and down from every endpoint and intersection
-    point until the first curve hit; cells tile the plane."""
+    point until the first curve hit; cells tile the plane.
+
+    slab_curves[j] and slab_cells[j] are the sweep's order and gap cells in
+    slab j, which spans (xs[j-1], xs[j]); the outermost slabs are unbounded."""
 
     def __init__(self, defining: CurveFamily):
         self.defining = defining
         self.defining_ids = list(defining.ids)
-        self._build()
-
-    def _build(self) -> None:
-        self.events_by_x, xs, slabs = _sweep(self.defining)
-        self.xs = xs
-        # slab j spans (xs[j-1], xs[j]); the outermost slabs are unbounded
-        self.slab_curves: List[List[PolyChain]] = [[]] + list(slabs) + [[]] if xs else [[]]
-
-        # union-find over strips (slab, strip index)
-        parent: Dict[Tuple[int, int], Tuple[int, int]] = {
-            (j, k): (j, k)
-            for j, sc in enumerate(self.slab_curves)
-            for k in range(len(sc) + 1)
-        }
-
-        def find(s):
-            root = s
-            while parent[root] != root:
-                root = parent[root]
-            while parent[s] != root:
-                parent[s], s = root, parent[s]
-            return root
-
-        # The curves of the two slabs beside x_e are all the curves covering
-        # it, and every event point lies on one of them.  Their values cut the
-        # line x = x_e into open intervals; one with an event y at either end
-        # carries a wall, any other joins the strips on its left and right.
-        for j, x_e in enumerate(xs):
-            left, right = self.slab_curves[j], self.slab_curves[j + 1]
-            y = {c.cid: value_at(c, x_e) for c in left + right}
-            ly = [y[c.cid] for c in left]
-            ry = [y[c.cid] for c in right]
-            walls = set(self.events_by_x[x_e])
-            cuts = [NEG_INF] + sorted(set(y.values())) + [POS_INF]
-            for y0, y1 in zip(cuts, cuts[1:]):
-                if y0 in walls or y1 in walls:
-                    continue
-                ra = find((j, bisect_right(ly, y0)))
-                rb = find((j + 1, bisect_right(ry, y0)))
-                if ra != rb:
-                    parent[ra] = rb
-
-        groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for s in parent:
-            groups.setdefault(find(s), []).append(s)
-        self.cells: List[Trapezoid] = []
-        self._strip_cell: Dict[Tuple[int, int], int] = {}
-        bounds: List[object] = [None] + list(xs) + [None]
-        for strips in groups.values():
-            strips.sort()
-            idx = len(self.cells)
-            jmin = strips[0][0]
-            jmax = strips[-1][0]
-            bottoms = set()
-            tops = set()
-            for (j, k) in strips:
-                sc = self.slab_curves[j]
-                bottoms.add(sc[k - 1].cid if k > 0 else None)
-                tops.add(sc[k].cid if k < len(sc) else None)
-                self._strip_cell[(j, k)] = idx
-            if len(bottoms) != 1 or len(tops) != 1:
-                raise DegeneracyError("merged cell with inconsistent floor/ceiling")
-            self.cells.append(
-                Trapezoid(
-                    index=idx,
-                    x_lo=bounds[jmin],
-                    x_hi=bounds[jmax + 1],
-                    bottom=bottoms.pop(),
-                    top=tops.pop(),
-                    strips=strips,
-                )
-            )
+        self.events_by_x, self.xs, slabs, self.cells = _sweep(defining)
+        self.slab_curves: List[List[PolyChain]] = [[]]
+        self.slab_cells: List[List[int]] = [[0]]
+        for order, gaps in slabs:
+            self.slab_curves.append(order)
+            self.slab_cells.append(gaps)
 
     @property
     def cell_count(self) -> int:
         return len(self.cells)
 
-    def _strip_of(self, slab: int, x: Fraction, y: Fraction) -> Optional[int]:
-        """Strip index holding (x, y), or None when y lies on a slab curve."""
-        for k, c in enumerate(self.slab_curves[slab]):
-            v = value_at(c, x)
-            if y == v:
-                return None
-            if y < v:
-                return k
-        return len(self.slab_curves[slab])
+    def _strip_of(self, slab: int, X: int, Y: int, W: int) -> Optional[int]:
+        """Gap of the slab's order holding the grid point (X/W, Y/W), or None
+        when it lies on a slab curve."""
+        order, scale = self.slab_curves[slab], self.defining.scale
+        k = bisect_left(order, 0, key=lambda c: -_side(c, scale, X, Y, W))
+        if k < len(order) and _side(order[k], scale, X, Y, W) == 0:
+            return None
+        return k
 
     def locate(self, p: Point) -> Optional[int]:
         """Cell whose open interior contains p, or None when p lies on a cell
         boundary (a curve or a wall)."""
-        x, y = Fraction(p[0]), Fraction(p[1])
         xs = self.xs
         if not xs:
             return 0
+        x = Fraction(p[0])
+        X, Y, W = _grid(p, self.defining.scale)
         i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            kl = self._strip_of(i, x, y)
-            kr = self._strip_of(i + 1, x, y)
-            if kl is None or kr is None:
-                return None
-            cl = self._strip_cell[(i, kl)]
-            if cl != self._strip_cell[(i + 1, kr)]:
-                return None  # p sits on a wall
-            return cl
-        k = self._strip_of(i, x, y)
+        k = self._strip_of(i, X, Y, W)
         if k is None:
             return None
-        return self._strip_cell[(i, k)]
+        cell = self.slab_cells[i][k]
+        if i < len(xs) and xs[i] == x:
+            kr = self._strip_of(i + 1, X, Y, W)
+            if kr is None or self.slab_cells[i + 1][kr] != cell:
+                return None  # p sits on a curve or a wall
+        return cell
 
 
 def trapezoidal_partition(defining: CurveFamily) -> Partition:

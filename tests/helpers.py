@@ -486,6 +486,42 @@ def visibility_oracle(family):
     return pairs
 
 
+def slab_orders_oracle(family):
+    """(xs, orders): the event abscissas (chain endpoints and common points,
+    recomputed pair by pair) and, for each open slab between consecutive
+    ones, the ids of the chains spanning it sorted by value at the slab's
+    midpoint (the sweep before it updated its order event by event)."""
+    from tanglab import common_points
+
+    events = {e.x for c in family.curves for e in (c.start, c.end)}
+    for c1, c2 in combinations(family.curves, 2):
+        events.update(p.x for p, _ in common_points(c1, c2))
+    xs = sorted(events)
+    orders = []
+    for a, b in zip(xs, xs[1:]):
+        mid = (a + b) / 2
+        spanning = [c for c in family.curves if c.start.x <= a and b <= c.end.x]
+        orders.append([c.cid for c in sorted(spanning, key=lambda c: value_at(c, mid))])
+    return xs, orders
+
+
+def locate_oracle(partition, p):
+    """Cells whose open interior holds p, by a scan of every cell: p lies
+    strictly between the cell's walls and strictly between its floor and
+    ceiling curves."""
+    x, y = F(p[0]), F(p[1])
+    out = []
+    for t in partition.cells:
+        if (t.x_lo is not None and x <= t.x_lo) or (t.x_hi is not None and x >= t.x_hi):
+            continue
+        if t.bottom is not None and y <= value_at(partition.defining.curve(t.bottom), x):
+            continue
+        if t.top is not None and y >= value_at(partition.defining.curve(t.top), x):
+            continue
+        out.append(t.index)
+    return out
+
+
 def euler_cell_count(partition, box=10**6):
     """Face count of the clipped wall-and-curve arrangement, by Euler's
     formula V - E + F = 1 + C; faces inside the box = partition cells."""

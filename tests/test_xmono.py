@@ -1,4 +1,6 @@
 from fractions import Fraction
+import math
+import random
 
 import pytest
 
@@ -19,7 +21,8 @@ from tanglab import (
     value_at,
     vertical_visibility_pairs,
 )
-from tanglab.generators import gen_doubling, gen_vee_fan
+from tanglab import xmono
+from tanglab.generators import gen_doubling, gen_grounded_family, gen_vee_fan
 
 import helpers
 
@@ -37,6 +40,12 @@ def test_value_at_exact_interpolation():
     c = chain("c", (0, 0), (3, 1))
     assert value_at(c, F(1)) == F(1, 3)
     assert value_at(c, F(3)) == F(1)
+
+
+def test_value_at_rejects_a_chain_that_is_not_x_monotone():
+    z = chain("z", (0, 0), (3, 3), (1, -1), (4, 0))  # meets x = 2 three times
+    with pytest.raises(ValueError, match="z is not x-monotone"):
+        value_at(z, F(2))
 
 
 def test_starts_below_disjoint_lines():
@@ -116,6 +125,147 @@ def test_visibility_matches_oracle():
         assert vertical_visibility_pairs(fam) == helpers.visibility_oracle(fam)
 
 
+# --- the sweep -------------------------------------------------------------
+
+
+def _hand_families():
+    """Coincidences the sweep must order: several chains through one point,
+    chains starting at a shared point or on another chain, touching pairs,
+    and several event points on one vertical line."""
+    return [
+        # three segments through (1, 0), and a fourth crossing them elsewhere
+        CurveFamily(
+            [
+                chain("a", (0, -1), (2, 1)),
+                chain("b", (0, 0), (2, 0)),
+                chain("c", (0, 1), (2, -1)),
+                chain("d", (0, 3), (3, -3)),
+            ]
+        ),
+        # three chains starting at (0, 0), crossed by a fourth
+        CurveFamily(
+            [
+                chain("a", (0, 0), (2, 1)),
+                chain("b", (0, 0), (2, -1)),
+                chain("c", (0, 0), (2, 0)),
+                chain("d", (-1, 2), (3, -2)),
+            ]
+        ),
+        # two chains starting on a, and one ending on it
+        CurveFamily(
+            [
+                chain("a", (0, 0), (4, 0)),
+                chain("b", (1, 0), (3, 2)),
+                chain("c", (1, 0), (3, -2)),
+                chain("e", (2, 3), (3, 0)),
+            ]
+        ),
+        # a line touched from above and from below at one point, and a
+        # touching pair that keeps its order
+        CurveFamily(
+            [
+                chain("a", (0, 0), (4, 0)),
+                chain("v", (0, 2), (2, 0), (4, 2)),
+                chain("w", (0, -2), (2, 0), (4, -2)),
+                chain("h", (0, 5), (3, 2), (4, 3)),
+                chain("g", (1, 5), (3, 2), (5, 6)),
+            ]
+        ),
+        # x = 1 holds two crossings, a start and an end
+        CurveFamily(
+            [
+                chain("a", (0, 0), (2, 2)),
+                chain("b", (0, 2), (2, 0)),
+                chain("c", (0, 10), (2, 12)),
+                chain("d", (0, 12), (2, 10)),
+                chain("e", (1, 5), (3, 5)),
+                chain("f", (-1, 7), (1, 7)),
+            ]
+        ),
+    ]
+
+
+def _sweep_families():
+    fams = [helpers.random_segment_family(s, 16) for s in range(6)]
+    fams += [helpers.random_spanning_family(s, 12) for s in range(6)]
+    return fams + [gen_vee_fan(8), gen_grounded_family(2)] + _hand_families()
+
+
+def test_sweep_matches_midpoint_sort_oracle():
+    for fam in _sweep_families():
+        _, xs, slabs, _ = xmono._sweep(fam)
+        orders = [[c.cid for c in order] for order, _ in slabs]
+        assert orders[-1] == []  # right of every event
+        assert (xs, orders[:-1]) == helpers.slab_orders_oracle(fam)
+
+
+def test_envelope_evaluates_chains_near_each_event_point_only(monkeypatch):
+    """A per-slab re-sort evaluates every spanning chain in every slab; the
+    sweep bisects once per event point."""
+    fam = helpers.random_spanning_family(27, 40)
+    n = len(fam)
+    assert n == 40
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(xmono, "value_at", counting(xmono.value_at))
+    if hasattr(xmono, "_side"):
+        monkeypatch.setattr(xmono, "_side", counting(xmono._side))
+    lower_envelope(fam)
+    event_points = sum(len(ys) for ys in xmono._sweep(fam)[0].values())
+    bound = F(6, 5) * event_points * math.log2(n)
+    assert len(calls) <= bound
+    _, orders = helpers.slab_orders_oracle(fam)
+    assert sum(map(len, orders)) >= 5 * bound
+
+
+def _probe_points(part, rng):
+    """Random points, points on curves and at event points, points on walls
+    (between an event point and the next curve above or below) and points on
+    event lines."""
+    curves = part.defining.curves
+    xs = part.xs
+    lo_x, hi_x = xs[0] - 1, xs[-1] + 1
+    ys = [v.y for c in curves for v in c.vertices]
+    lo_y, hi_y = min(ys) - 1, max(ys) + 1
+
+    def rand(a, b):
+        return a + (b - a) * F(rng.randint(0, 997), 997)
+
+    points = [pt(rand(lo_x, hi_x), rand(lo_y, hi_y)) for _ in range(40)]
+    for c in rng.sample(curves, min(6, len(curves))):
+        x = rand(c.start.x, c.end.x)
+        points.append(pt(x, value_at(c, x)))
+    for x in rng.sample(xs, min(12, len(xs))):
+        vals = sorted(value_at(c, x) for c in curves if c.start.x <= x <= c.end.x)
+        points.append(pt(x, rand(lo_y, hi_y)))
+        for y in part.events_by_x[x]:
+            above = [v for v in vals if v > y]
+            below = [v for v in vals if v < y]
+            points.append(pt(x, y))
+            points.append(pt(x, (y + above[0]) / 2 if above else y + 1))
+            points.append(pt(x, (y + below[-1]) / 2 if below else y - 1))
+    return points
+
+
+def test_locate_matches_linear_scan_oracle():
+    rng = random.Random(7)
+    fams = [helpers.random_segment_family(s, 16) for s in range(4)]
+    fams += [helpers.random_spanning_family(0, 8), gen_vee_fan(5)] + _hand_families()
+    for fam in fams:
+        part = trapezoidal_partition(fam)
+        for p in _probe_points(part, rng):
+            want = helpers.locate_oracle(part, p)
+            assert len(want) <= 1
+            assert part.locate(p) == (want[0] if want else None), p
+
+
 # --- trapezoidal partition -------------------------------------------------
 
 
@@ -144,33 +294,38 @@ def test_partition_cell_count_euler_oracle():
     assert part.cell_count == helpers.euler_cell_count(part)
 
 
-def _strip_interior_point(part, j, k):
-    if not part.xs:
-        return pt(0, 0)
-    if j == 0:
-        x = part.xs[0] - 1
-    elif j == len(part.xs):
-        x = part.xs[-1] + 1
-    else:
-        x = (part.xs[j - 1] + part.xs[j]) / 2
-    cuts = [None] + [value_at(c, x) for c in part.slab_curves[j]] + [None]
-    lo, hi = cuts[k], cuts[k + 1]
-    if lo is None:
-        y = hi - 1 if hi is not None else F(0)
-    elif hi is None:
-        y = lo + 1
-    else:
-        y = (lo + hi) / 2
-    return pt(x, y)
+def _cell_interior_points(part, cell):
+    """A point inside `cell` at the midpoint of every slab it covers, built
+    from the cell's walls, floor and ceiling alone."""
+    xs = part.xs
+    if not xs:
+        return [pt(0, 0)]
+    mids = [xs[0] - 1] + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[-1] + 1]
+    points = []
+    for x in mids:
+        if (cell.x_lo is not None and x <= cell.x_lo) or (cell.x_hi is not None and x >= cell.x_hi):
+            continue
+        lo = value_at(part.defining.curve(cell.bottom), x) if cell.bottom else None
+        hi = value_at(part.defining.curve(cell.top), x) if cell.top else None
+        if lo is None:
+            y = hi - 1 if hi is not None else F(0)
+        elif hi is None:
+            y = lo + 1
+        else:
+            assert lo < hi
+            y = (lo + hi) / 2
+        points.append(pt(x, y))
+    return points
 
 
 def test_partition_locates_every_strip_in_its_cell():
-    fam = helpers.random_segment_family(1, 6)
-    part = trapezoidal_partition(fam)
-    for cell in part.cells:
-        for j, k in cell.strips:
-            p = _strip_interior_point(part, j, k)
-            assert part.locate(p) == cell.index
+    for fam in (helpers.random_segment_family(1, 6), helpers.random_segment_family(4, 12), gen_vee_fan(4)):
+        part = trapezoidal_partition(fam)
+        for cell in part.cells:
+            points = _cell_interior_points(part, cell)
+            assert points
+            for p in points:
+                assert part.locate(p) == cell.index
 
 
 def test_partition_locate_on_curve_is_none():
