@@ -147,6 +147,11 @@ def _cmd_visibility(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    if args.cutting:
+        bad = [f"--{name} {getattr(args, name)}" for name in ("r", "tries", "cmax") if getattr(args, name) < 1]
+        if bad:
+            print(f"partition --cutting: need {', '.join(bad)} to be at least 1", file=sys.stderr)
+            return USAGE_ERROR
     fam = load_family(args.infile)
     if not args.cutting:
         part = trapezoidal_partition(fam)

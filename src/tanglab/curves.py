@@ -16,10 +16,11 @@ on the right of c2; so the type is LR, and RL with c1 and c2 swapped.
 
 One integer kernel, `_pair_points_int`, decides every segment predicate,
 for pairs of chains and for `PolyChain.is_simple` alike, on a common
-integer grid; reported points are exact Fractions.  Classification runs
-on ints too: cross/touch, the tangency type and the position along a chain
-all read `_arcs`, the int arcs leaving a point.  A family caches its
-contact map and its validation report, and xmono reads that map.
+integer grid.  It reports int homogeneous points, which `common_points`
+turns into exact Fractions.  Classification runs on ints too: cross/touch,
+the tangency type and the position along a chain all read `_arcs`, the int
+arcs leaving a point.  A family caches its contact map and its validation
+report, and xmono reads that map.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class PolyChain:
                 if t[0] > s[1]:
                     break
                 try:
-                    hits = _pair_points_int([s], [t], scale)
+                    hits = _pair_points_int([s], [t])
                 except DegeneracyError:
                     return False
                 if hits and abs(s[8] - t[8]) != 1:
@@ -259,13 +260,12 @@ def _touch_type(c1: PolyChain, c2: PolyChain, p: Point, a1: tuple, a2: tuple) ->
 # --- pairwise common points -----------------------------------------------
 
 
-def _pair_points_int(segs1: list, segs2: list, scale: int) -> List[Tuple[Point, bool]]:
-    """Common points of two chains given their scaled segment lists, each
-    paired with True when the point is a strictly interior transversal
-    crossing (which needs no further classification).  Raises
-    DegeneracyError on positive-length overlap.  Points are keyed by their
-    reduced homogeneous int coordinates (x, y, w), w > 0, while scanning,
-    and become Fractions once at the end."""
+def _pair_points_int(segs1: list, segs2: list) -> List[Tuple[Tuple[int, int, int], bool]]:
+    """Common points of two chains given their segment lists on one scaled
+    grid, as reduced homogeneous int triples (x, y, w), w > 0, standing for
+    the grid point (x/w, y/w); each is paired with True when the point is a
+    strictly interior transversal crossing (which needs no further
+    classification).  Raises DegeneracyError on positive-length overlap."""
     out: Dict[Tuple[int, int, int], bool] = {}
     j_lo = 0
     n2 = len(segs2)
@@ -327,7 +327,7 @@ def _pair_points_int(segs1: list, segs2: list, scale: int) -> List[Tuple[Point, 
                 hit = (bx, by)
             if hit is not None:
                 out[hit + (1,)] = False
-    return [(Point(Fraction(x, w * scale), Fraction(y, w * scale)), pr) for (x, y, w), pr in out.items()]
+    return list(out.items())
 
 
 def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> List[Tuple[Point, str]]:
@@ -343,13 +343,11 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
     if len(segs1) > len(segs2):
         segs1, segs2 = segs2, segs1
     try:
-        hits = _pair_points_int(segs1, segs2, scale)
+        hits = _pair_points_int(segs1, segs2)
     except DegeneracyError as e:
         raise DegeneracyError(f"{c1.cid}/{c2.cid}: {e}") from None
-    return [
-        (p, "cross" if proper else classify_contact(c1, c2, p))
-        for p, proper in sorted(hits)
-    ]
+    pts = sorted((Point(Fraction(x, w * scale), Fraction(y, w * scale)), proper) for (x, y, w), proper in hits)
+    return [(p, "cross" if proper else classify_contact(c1, c2, p)) for p, proper in pts]
 
 
 # --- families --------------------------------------------------------------

@@ -24,7 +24,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from .curves import CurveFamily, DegeneracyError, PolyChain, common_points, validate_family
+from .curves import CurveFamily, DegeneracyError, PolyChain, _pair_points_int, common_points, validate_family
 from .geom import Point
 
 
@@ -333,29 +333,67 @@ class CellStats:
 
 def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
     """Per cell: curves of `family` meeting the open interior, split into
-    long (no endpoint inside) and short (at least one endpoint inside)."""
+    long (no endpoint inside) and short (at least one endpoint inside).
+
+    Each probe chain is walked left to right on one int grid, scaled by
+    lcm(partition scale, family scale).  Its breakpoints are the event
+    abscissas inside its span and its common points with the defining
+    chains (`_pair_points_int`).  Between two breakpoints the chain stays
+    inside one slab and meets no defining chain, so the piece meets the one
+    cell that holds its midpoint, found by bisecting that slab's order.  The
+    endpoints go through `locate`.  A chain of the partition itself lies on
+    cell boundaries only and is skipped.  Raises ValueError on a probe chain
+    that is not x-monotone and DegeneracyError on one that overlaps a
+    defining chain."""
+    defining = partition.defining
+    scale = lcm(defining.scale, family.scale)
+    up = scale // defining.scale  # (X, Y, W) on this grid is (X, Y, W * up) on the partition's
+    xs = partition.xs
+    events = [(x.numerator * scale, x.denominator, True) for x in xs]  # (X, W, is an event): abscissa X/W
+    own = set(defining.curves)
     meets: Dict[int, Set[str]] = {}
     short: Dict[int, Set[str]] = {}
-    xs = partition.xs
     for c in family.curves:
-        lo, hi = c.start.x, c.end.x
-        bps = {lo, hi}
-        i = bisect_right(xs, lo)
-        while i < len(xs) and xs[i] < hi:
-            bps.add(xs[i])
-            i += 1
-        for d in partition.defining.curves:
+        if c in own:
+            continue
+        if not c.is_x_monotone():
+            raise ValueError(f"{c.cid} is not x-monotone")
+        segs = c.scaled_segments(scale)
+        lo, hi = segs[0][4], segs[-1][6]
+        cuts = set()  # abscissas x/w of the contacts inside the span
+        for d in defining.curves:
             if d.cid == c.cid:
                 continue
-            for p, _ in common_points(c, d):
-                if lo < p.x < hi:
-                    bps.add(p.x)
-        sb = sorted(bps)
-        for a, b in zip(sb, sb[1:]):
-            mx = (a + b) / 2
-            cell = partition.locate(Point(mx, value_at(c, mx)))
-            if cell is not None:
-                meets.setdefault(cell, set()).add(c.cid)
+            try:
+                hits = _pair_points_int(segs, d.scaled_segments(scale))
+            except DegeneracyError as e:
+                raise DegeneracyError(f"{c.cid}/{d.cid}: {e}") from None
+            cuts.update((x, w) for (x, _, w), _ in hits if lo * w < x < hi * w)
+        # breakpoints in order, events and contacts merged
+        i = slab = bisect_right(xs, c.start.x)
+        j = bisect_left(xs, c.end.x)
+        bps = [(lo, 1, False)]
+        for x, w in sorted(cuts, key=lambda t: Fraction(*t)):
+            while i < j and events[i][0] * w < x * events[i][1]:
+                bps.append(events[i])
+                i += 1
+            if i == j or events[i][0] * w != x * events[i][1]:
+                bps.append((x, w, False))
+        bps += events[i:j]
+        bps.append((hi, 1, False))
+        k = 0  # segment of c under the current piece
+        ax, aw, _ = bps[0]
+        for bx, bw, event in bps[1:]:
+            X, W = ax * bw + bx * aw, 2 * aw * bw  # midpoint of the piece
+            while segs[k][6] * W < X:
+                k += 1
+            _, _, _, _, sx, sy, tx, ty, _ = segs[k]
+            dx = tx - sx
+            gap = partition._strip_of(slab, X * dx, sy * dx * W + (ty - sy) * (X - sx * W), W * dx * up)
+            if gap is not None:
+                meets.setdefault(partition.slab_cells[slab][gap], set()).add(c.cid)
+            slab += event
+            ax, aw = bx, bw
         for e in (c.start, c.end):
             cell = partition.locate(e)
             if cell is not None:

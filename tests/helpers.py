@@ -15,6 +15,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from tanglab import (
+    CellStats,
     CurveFamily,
     DegeneracyError,
     PolyChain,
@@ -584,3 +585,39 @@ def euler_cell_count(partition, box=10**6):
     comps = len({find(v) for v in verts})
     faces = len(edges) - len(verts) + 1 + comps
     return faces - 1
+
+
+def cell_stats_oracle(partition, family):
+    """`cell_stats` before it walked probes on the int grid: breakpoints from
+    a scan of the event abscissas and from `common_points`, and each piece
+    located at its midpoint by Fraction `value_at` and `locate`."""
+    from tanglab import common_points
+
+    meets, short = {}, {}
+    xs = partition.xs
+    for c in family.curves:
+        lo, hi = c.start.x, c.end.x
+        bps = {lo, hi}
+        bps.update(x for x in xs if lo < x < hi)
+        for d in partition.defining.curves:
+            if d.cid == c.cid:
+                continue
+            for p, _ in common_points(c, d):
+                if lo < p.x < hi:
+                    bps.add(p.x)
+        sb = sorted(bps)
+        for a, b in zip(sb, sb[1:]):
+            mx = (a + b) / 2
+            cell = partition.locate(Point(mx, value_at(c, mx)))
+            if cell is not None:
+                meets.setdefault(cell, set()).add(c.cid)
+        for e in (c.start, c.end):
+            cell = partition.locate(e)
+            if cell is not None:
+                meets.setdefault(cell, set()).add(c.cid)
+                short.setdefault(cell, set()).add(c.cid)
+    out = []
+    for cell in range(partition.cell_count):
+        s, m = short.get(cell, set()), meets.get(cell, set())
+        out.append(CellStats(cell, sorted(m - s), sorted(s)))
+    return out

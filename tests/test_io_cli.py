@@ -1,22 +1,30 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tanglab
 from tanglab import (
     BipartiteGraph,
     CurveFamily,
     PolyChain,
+    gen_doubling,
+    gen_grounded_family,
     gen_vee_fan,
     load_family,
     load_graph,
     save_family,
     save_graph,
+    validate_family,
 )
 from tanglab.cli import run
 from tanglab.io import FormatError
+
+import helpers
 
 F = Fraction
 
@@ -33,6 +41,24 @@ def test_family_round_trip(tmp_path):
     assert back.window == fam.window
     for cid in fam.ids:
         assert back.curve(cid).vertices == fam.curve(cid).vertices
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_vee_fan(16),
+        lambda: gen_doubling(3),
+        lambda: gen_grounded_family(2),
+        lambda: helpers.random_segment_family(0, 24),
+    ],
+    ids=["vee-fan-16", "doubling-3", "grounded-2", "random-segments"],
+)
+def test_round_trip_keeps_validation_report(tmp_path, make):
+    fam = make()
+    p = tmp_path / "fam.txt"
+    save_family(fam, p)
+    # the file lists curves by id, so the loaded family may scan its pairs in another order
+    assert repr(validate_family(load_family(p))) == repr(validate_family(fam))
 
 
 def test_family_file_has_three_curve_records(tmp_path):
@@ -298,10 +324,24 @@ def test_cli_partition_cutting(tmp_path, capsys):
     assert rc == 0 and data["cutting"] == "found"
 
 
+@pytest.mark.parametrize("flag, value", [("--r", "0"), ("--tries", "-3"), ("--cmax", "0")])
+def test_cli_partition_cutting_bad_argument_exit_2(tmp_path, capsys, flag, value):
+    f = str(tmp_path / "f.txt")
+    assert run(["generate", "vee-fan", "--n", "6", "--out", f]) == 0
+    capsys.readouterr()
+    assert run(["partition", "--in", f, "--cutting", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} {value}" in captured.err and captured.out == ""
+
+
 def test_console_script_installed():
+    # the child imports the tanglab under test, installed or not
+    src = str(Path(tanglab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "tanglab.cli", "frobnicate"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2

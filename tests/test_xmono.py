@@ -7,6 +7,7 @@ import pytest
 from tanglab import (
     CurveFamily,
     CuttingFailure,
+    DegeneracyError,
     PolyChain,
     biinfinite_extend,
     cell_stats,
@@ -398,6 +399,95 @@ def test_cell_stats_long_short():
     # `long` spans that cell wall to wall; `short` ends inside it
     assert "long" in s.long_ids and "long" not in s.short_ids
     assert "short" in s.short_ids
+
+
+def _assert_cell_stats_match_oracle(part, probes):
+    assert cell_stats(part, probes) == helpers.cell_stats_oracle(part, probes)
+
+
+def test_cell_stats_matches_oracle_on_random_families():
+    rng = random.Random(11)
+    for seed in range(5):
+        for fam in (helpers.random_segment_family(seed, 24), helpers.random_spanning_family(seed, 10)):
+            # the same chains as new objects: walked, not skipped as chains of the partition
+            copies = CurveFamily([PolyChain(c.cid, c.vertices) for c in fam.curves])
+            for _ in range(3):
+                ids = sorted(rng.sample(fam.ids, rng.randint(1, min(8, len(fam)))))
+                part = trapezoidal_partition(fam.subfamily(ids))
+                _assert_cell_stats_match_oracle(part, fam)
+                _assert_cell_stats_match_oracle(part, copies)
+
+
+def test_cell_stats_matches_oracle_for_probes_on_a_finer_grid():
+    rng = random.Random(5)
+    for seed in range(4):
+        fam = helpers.random_segment_family(seed, 16)
+        part = trapezoidal_partition(fam)
+        probes = []
+        for i in range(12):
+            xs = sorted(rng.sample(range(-30, 1000), rng.randint(2, 5)))
+            probes.append(PolyChain(f"p{i}", [(F(x, 6), F(rng.randint(-700, 700), 13)) for x in xs]))
+        probes = CurveFamily(probes)
+        assert math.lcm(fam.scale, probes.scale) != fam.scale
+        _assert_cell_stats_match_oracle(part, probes)
+
+
+def test_cell_stats_matches_oracle_at_vertices_walls_and_curves():
+    defining = CurveFamily(
+        [
+            chain("a", (0, 0), (2, 2), (4, 0)),
+            chain("b", (0, 3), (4, 3)),
+            chain("c", (1, -1), (3, 4)),  # crosses a at (15/7, 13/7) and b at (13/5, 3)
+        ]
+    )
+    part = trapezoidal_partition(defining)
+    probes = CurveFamily(
+        list(defining.curves)
+        + [
+            chain("apex", (-1, 4), (2, 2), (5, 4)),  # vertex on a's vertex
+            chain("level", (-1, 2), (5, 2)),  # through a's vertex
+            chain("dip", (1, 2), (F(3, 2), F(3, 2)), (2, F(5, 2))),  # vertex on a's edge
+            chain("hang", (F(5, 2), 5), (3, 3), (F(7, 2), 5)),  # vertex on b's edge
+            chain("thru", (F(8, 7), F(5, 14)), (F(22, 7), F(47, 14))),  # through the a/c crossing
+            chain("foot", (1, 1), (3, 2)),  # starts on a, ends on an event line off its walls
+            chain("wall", (1, -3), (2, -2)),  # starts on the wall below c's start
+            chain("wall0", (0, 1), (F(1, 2), 5)),  # starts on the wall between a and b
+            chain("onb", (-1, 5), (F(1, 2), 3)),  # ends on b
+            chain("toc", (0, -2), (1, -1)),  # ends at c's start
+            chain("far", (5, 0), (F(19, 3), 1)),  # right of every event
+        ]
+    )
+    stats = cell_stats(part, probes)
+    assert stats == helpers.cell_stats_oracle(part, probes)
+    assert [s.cell for s in stats if "far" in s.short_ids] == [part.locate(pt(5, 0))]
+    assert not any({"a", "b", "c"} & set(s.long_ids + s.short_ids) for s in stats)
+
+
+def test_cell_stats_rejects_a_probe_that_is_not_x_monotone():
+    part = trapezoidal_partition(CurveFamily([chain("a", (0, 0), (4, 0))]))
+    for z in (chain("z", (0, 1), (3, 3), (1, -1), (4, 1)), chain("z", (2, 1), (2, 3))):
+        with pytest.raises(ValueError, match="z is not x-monotone"):
+            cell_stats(part, CurveFamily([z]))
+
+
+def test_cell_stats_rejects_a_probe_overlapping_a_defining_chain():
+    part = trapezoidal_partition(CurveFamily([chain("a", (0, 0), (4, 0))]))
+    probe = chain("p", (-1, 1), (2, 0), (6, 0))
+    with pytest.raises(DegeneracyError, match="p/a: collinear overlap"):
+        cell_stats(part, CurveFamily([probe]))
+
+
+def test_cell_stats_locates_only_probe_endpoints(monkeypatch):
+    """Pieces are located on the int grid: no `value_at`, no `common_points`,
+    and `locate` only for the endpoints of probes outside the partition."""
+    fam = helpers.random_segment_family(3, 24)
+    part = trapezoidal_partition(fam.subfamily(fam.ids[:8]))
+    calls = _count_common_points(monkeypatch)
+    located = []
+    monkeypatch.setattr(xmono, "value_at", None)
+    monkeypatch.setattr(xmono.Partition, "locate", lambda self, p: located.append(p) or 0)
+    cell_stats(part, fam)
+    assert calls == [] and len(located) == 2 * (len(fam) - 8)
 
 
 # --- cutting search --------------------------------------------------------
