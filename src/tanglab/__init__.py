@@ -20,7 +20,6 @@ from .bipartite import (
     tangency_order_lists,
 )
 from .curves import (
-    ContactKind,
     CurveFamily,
     DegeneracyError,
     PolyChain,

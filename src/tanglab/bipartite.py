@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from .curves import CurveFamily, chain_position, common_points, tangency_type
 
 
@@ -71,7 +69,7 @@ def near_regularize(g: BipartiteGraph, d: int) -> Tuple[BipartiteGraph, Dict]:
     if d < 1:
         raise ValueError("d must be >= 1")
 
-    def split(ids, deg_of, adj):
+    def split(ids, adj):
         copy_of_edge = {}  # (v, neighbor) -> copy id
         new_ids = []
         prov = {}
@@ -91,8 +89,8 @@ def near_regularize(g: BipartiteGraph, d: int) -> Tuple[BipartiteGraph, Dict]:
                     copy_of_edge[(v, w)] = cid
         return new_ids, prov, copy_of_edge
 
-    new_a, prov_a, map_a = split(g.a_ids, g.degree_a, g.adj_a)
-    new_b, prov_b, map_b = split(g.b_ids, g.degree_b, g.adj_b)
+    new_a, prov_a, map_a = split(g.a_ids, g.adj_a)
+    new_b, prov_b, map_b = split(g.b_ids, g.adj_b)
     edges = [(map_a[(a, b)], map_b[(b, a)]) for a, b in g.edges()]
     out = BipartiteGraph(new_a, new_b, edges, g.meta)
     if out.n_edges != g.n_edges:
@@ -410,31 +408,43 @@ def h_plus(h: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph(h.a_ids + [a_new], h.b_ids + [b_new], edges, h.meta)
 
 
-def _to_nx(g: BipartiteGraph) -> nx.Graph:
-    out = nx.Graph()
-    for a in g.a_ids:
-        out.add_node(("A", a), side="A")
-    for b in g.b_ids:
-        out.add_node(("B", b), side="B")
-    for a, b in g.edges():
-        out.add_edge(("A", a), ("B", b))
-    return out
-
-
 def contains_subgraph(g: BipartiteGraph, h: BipartiteGraph) -> bool:
     """Does g contain h as a (not necessarily induced) subgraph, respecting
-    sides up to a global swap?  Exhaustive; |V(h)| capped at 10."""
+    sides up to a global swap?  Exhaustive; |V(h)| capped at 10.
+
+    Backtracking places h's side-tagged vertices neighbours-first, each on an
+    unused common neighbour of its placed neighbours' images of at least its
+    degree; the second attempt swaps g's sides, which is trying h.swap_sides()."""
     if h.n_vertices > 10:
         raise ValueError("pattern too large (guard: |V(H)| <= 10)")
-    gg = _to_nx(g)
-    for hh in (h, h.swap_sides()):
-        pat = _to_nx(hh)
-        gm = nx.algorithms.isomorphism.GraphMatcher(
-            gg, pat, node_match=lambda n1, n2: n1["side"] == n2["side"]
-        )
-        if any(True for _ in gm.subgraph_monomorphisms_iter()):
+    pat = {("A", a): {("B", b) for b in s} for a, s in h.adj_a.items()}
+    pat.update({("B", b): {("A", a) for a in s} for b, s in h.adj_b.items()})
+    order: List[Tuple] = []
+    while len(order) < len(pat):
+        rest = (v for v in pat if v not in order)
+        order.append(max(rest, key=lambda v: (len(pat[v].intersection(order)), len(pat[v]))))
+    image: Dict[Tuple, object] = {}
+
+    def place(host: Dict[str, Dict], i: int) -> bool:
+        if i == len(order):
             return True
-    return False
+        v = order[i]
+        side = v[0]
+        images = [host[w[0]][image[w]] for w in pat[v] if w in image]
+        taken = {c for w, c in image.items() if w[0] == side}
+        for c in set.intersection(*images) if images else host[side]:
+            if c not in taken and len(host[side][c]) >= len(pat[v]):
+                image[v] = c
+                if place(host, i + 1):
+                    return True
+                del image[v]
+        return False
+
+    hosts = ({"A": g.adj_a, "B": g.adj_b}, {"A": g.adj_b, "B": g.adj_a})
+    return any(
+        len(h.a_ids) <= len(host["A"]) and len(h.b_ids) <= len(host["B"]) and place(host, 0)
+        for host in hosts
+    )
 
 
 # --- order lists -----------------------------------------------------------

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .bipartite import (
+    BipartiteGraph,
     SparsenessBudget,
     avg_degree,
     bad_4tuple_scan,
@@ -76,8 +77,6 @@ def _cmd_generate(args) -> int:
         edges = [
             (pt_index[p], j) for j, l in enumerate(inst.lines) for p in inst.points_on_line(l)
         ]
-        from .bipartite import BipartiteGraph
-
         g = BipartiteGraph(range(len(inst.points)), range(len(inst.lines)), edges)
         save_graph(g, args.out)
         _emit(
@@ -278,9 +277,12 @@ def _cmd_scaling_report(args) -> int:
 
 def _int_list(text) -> List[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,16 +384,13 @@ def run(argv: Optional[List[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except FormatError as e:
-        print(str(e), file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as e:
+    except (FormatError, FileNotFoundError) as e:
         print(str(e), file=sys.stderr)
         return USAGE_ERROR
     except ValueError as e:
-        # generate and graph raise ValueError only on input outside the domain
+        # these commands raise ValueError only on input outside the domain
         print(str(e), file=sys.stderr)
-        return USAGE_ERROR if args.command in ("generate", "graph") else PROPERTY_FAIL
+        return USAGE_ERROR if args.command in ("generate", "graph", "scaling-report") else PROPERTY_FAIL
 
 
 def main() -> None:

@@ -48,14 +48,6 @@ class TangencyType(enum.Enum):
         return TangencyType(self.value[1] + self.value[0])
 
 
-class ContactKind(enum.Enum):
-    DISJOINT = "disjoint"
-    CROSSING = "crossing"
-    TANGENCY = "tangency"
-    MULTI = "multi"
-    DEGENERATE = "degenerate"
-
-
 class PolyChain:
     """A simple oriented polygonal chain with rational vertices."""
 

@@ -75,6 +75,8 @@ def load_family(path) -> CurveFamily:
         parts = line.split()
         if parts[0] == "window" and len(parts) == 3:
             window = (parse_rat(parts[1], i), parse_rat(parts[2], i))
+            if window[0] >= window[1]:
+                raise FormatError(path, i, f"window {parts[1]} {parts[2]}: need lo < hi")
         elif parts[0] == "ground" and len(parts) == 2:
             ground = parse_rat(parts[1], i)
         elif parts[0] == "flags":
@@ -155,16 +157,14 @@ def load_graph(path) -> BipartiteGraph:
     head_lineno, head = raw[0][0], raw[0][1].split()
     if len(head) != 4 or head[0] != "A" or head[2] != "B":
         raise FormatError(path, head_lineno, "expected header 'A <size> B <size>'")
-    try:
-        na, nb = int(head[1]), int(head[3])
-    except ValueError:
-        raise FormatError(path, head_lineno, "bad side sizes") from None
+    if not (head[1].isdecimal() and head[3].isdecimal()):
+        raise FormatError(path, head_lineno, "side sizes must be non-negative integers")
+    na, nb = int(head[1]), int(head[3])
     edges = []
     for lineno, line in raw[1:]:
-        toks = line.split()
         try:
-            a, b = int(toks[0]), int(toks[1])
-        except (ValueError, IndexError):
+            a, b = map(int, line.split())
+        except ValueError:
             raise FormatError(path, lineno, f"bad edge line {line!r}") from None
         if not (0 <= a < na and 0 <= b < nb):
             raise FormatError(path, lineno, f"edge ({a},{b}) out of range")

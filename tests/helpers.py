@@ -200,6 +200,57 @@ def bad4_oracle(g, q, c, limit=16, samples=100_000, seed=0):
     return Bad4Report(bad, examined, pruned, sampled_pairs)
 
 
+def contains_subgraph_oracle(g, h):
+    """contains_subgraph by networkx's VF2 monomorphism search, on graphs
+    whose nodes are tagged by side and matched on that tag; a pattern with
+    more vertices on a side than the host is refused without a search."""
+    import networkx as nx
+
+    def tagged(bg):
+        out = nx.Graph()
+        out.add_nodes_from((("A", a), {"side": "A"}) for a in bg.a_ids)
+        out.add_nodes_from((("B", b), {"side": "B"}) for b in bg.b_ids)
+        out.add_edges_from((("A", a), ("B", b)) for a, b in bg.edges())
+        return out
+
+    host = tagged(g)
+    for pattern in (h, h.swap_sides()):
+        # VF2 does not count vertices per side, and is slow to find out
+        if len(pattern.a_ids) > len(g.a_ids) or len(pattern.b_ids) > len(g.b_ids):
+            continue
+        gm = nx.algorithms.isomorphism.GraphMatcher(
+            host, tagged(pattern), node_match=lambda n1, n2: n1["side"] == n2["side"]
+        )
+        if any(True for _ in gm.subgraph_monomorphisms_iter()):
+            return True
+    return False
+
+
+def random_subgraph_pair(seed):
+    """(host, pattern): a host of at most 7x7 and a pattern of at most 5x5,
+    both with int ids 0.. on each side.  Half the patterns are random; the
+    other half are a random subgraph of the host, relabelled and possibly
+    side-swapped, so that both answers are common."""
+    from tanglab import BipartiteGraph
+
+    rng = random.Random(f"{seed}-sub")
+
+    def rand_graph(max_a, max_b):
+        na, nb, p = rng.randint(0, max_a), rng.randint(0, max_b), rng.random()
+        edges = [(a, b) for a in range(na) for b in range(nb) if rng.random() < p]
+        return BipartiteGraph(range(na), range(nb), edges)
+
+    g = rand_graph(7, 7)
+    if rng.random() < 0.5:
+        return g, rand_graph(5, 5)
+    keep_a = rng.sample(g.a_ids, min(len(g.a_ids), rng.randint(0, 5)))
+    keep_b = rng.sample(g.b_ids, min(len(g.b_ids), rng.randint(0, 5)))
+    ra, rb = {a: i for i, a in enumerate(keep_a)}, {b: i for i, b in enumerate(keep_b)}
+    edges = [(ra[a], rb[b]) for a, b in g.edges() if a in ra and b in rb and rng.random() < 0.8]
+    h = BipartiteGraph(range(len(keep_a)), range(len(keep_b)), edges)
+    return g, h.swap_sides() if rng.random() < 0.5 else h
+
+
 @st.composite
 def degenerate_chains(draw):
     """Chains of 2-7 vertices on a small grid, divided by a rational so the

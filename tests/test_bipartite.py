@@ -264,6 +264,56 @@ def test_contains_subgraph():
     assert contains_subgraph(host, star)
 
 
+def test_contains_subgraph_matches_networkx_oracle():
+    answers = []
+    for seed in range(2000):
+        g, h = helpers.random_subgraph_pair(seed)
+        expected = helpers.contains_subgraph_oracle(g, h)
+        assert contains_subgraph(g, h) == expected, (seed, g.edges(), h.a_ids, h.b_ids, h.edges())
+        answers.append(expected)
+    assert 400 < sum(answers) < 1600  # both answers are common
+
+
+def star(n_leaves, center_side="A"):
+    g = BipartiteGraph([0], range(n_leaves), [(0, j) for j in range(n_leaves)])
+    return g if center_side == "A" else g.swap_sides()
+
+
+@pytest.mark.parametrize(
+    "g, h, expected",
+    [
+        # isolated pattern vertices need free host vertices on their side
+        (star(1), BipartiteGraph([0, 1], [0], [(0, 0)]), False),
+        (BipartiteGraph([0, 1], [0], [(0, 0)]), BipartiteGraph([0, 1], [0], [(0, 0)]), True),
+        (star(2), BipartiteGraph(range(3), [], []), False),
+        (BipartiteGraph([0, 1], [0, 1, 2], []), BipartiteGraph(range(3), [], []), True),
+        # the same ints on both sides are different vertices
+        (star(1), star(2, "B"), False),
+        (BipartiteGraph([0, 1], [0, 1], [(0, 1), (1, 0)]), star(2), False),
+        # embeds only after the side swap
+        (star(3, "B"), star(3), True),
+        (BipartiteGraph([0, 1], [0, 1, 2], [(0, 0), (0, 1), (0, 2)]), star(3, "B"), True),
+        # the empty pattern embeds everywhere, also in the empty graph
+        (BipartiteGraph([], [], []), BipartiteGraph([], [], []), True),
+        (complete(2, 3), BipartiteGraph([], [], []), True),
+        # the guard admits 10 pattern vertices
+        (complete(5, 5), complete(5, 5), True),
+        (complete(6, 4), complete(4, 6), True),
+        (complete(5, 5), complete(4, 6), False),
+    ],
+)
+def test_contains_subgraph_edge_cases(g, h, expected):
+    assert helpers.contains_subgraph_oracle(g, h) == expected
+    assert contains_subgraph(g, h) == expected
+
+
+def test_contains_subgraph_guard_rejects_eleven_vertices():
+    with pytest.raises(ValueError, match="pattern too large"):
+        contains_subgraph(complete(6, 6), complete(5, 6))
+    with pytest.raises(ValueError, match="pattern too large"):
+        contains_subgraph(complete(6, 6), BipartiteGraph(range(11), [], []))
+
+
 def test_intersection_reverse_check_examples():
     assert intersection_reverse_check([[1, 2, 3], [1, 2, 3]]) == (0, 1, (1, 2, 3))
     assert intersection_reverse_check([[1, 2, 3], [3, 2, 1]]) is None

@@ -1,0 +1,38 @@
+"""The package runs on the standard library alone: networkx is a test-only
+oracle (for contains_subgraph), never imported by tanglab itself."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import tanglab
+
+SRC = Path(tanglab.__file__).parent
+
+
+def test_src_imports_only_the_stdlib():
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, n) for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tanglab.cli, sys; assert 'networkx' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -153,6 +153,27 @@ def test_graph_error_names_the_file_line(tmp_path):
         load_graph(p)
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("graph", "A -3 B 2\n", ":1: side sizes must be non-negative integers"),
+        ("graph", "A 2 B -1\n", ":1: side sizes must be non-negative integers"),
+        ("graph", "A 2 B 2\n0 0 7\n", ":2: bad edge line"),
+        ("family", "tanglab-family 1\nwindow 3 1\nflags bi_infinite\n", ":2: window 3 1: need lo < hi"),
+        ("family", "tanglab-family 1\nwindow 2 2\n", ":2: window 2 2: need lo < hi"),
+    ],
+)
+def test_malformed_file_is_format_error_exit_2(tmp_path, capsys, command, text, message):
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        (load_graph if command == "graph" else load_family)(p)
+    argv = ["graph", "k22", "--in", str(p)] if command == "graph" else ["validate", "--in", str(p)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 # --- cli -------------------------------------------------------------------
 
 
@@ -313,6 +334,21 @@ def test_cli_scaling_report_deterministic(capsys):
     lines = out1.splitlines()
     assert lines[1] == "n,t,t_over_n43,t_over_n32"
     assert lines[2].startswith("4,3,")
+
+
+@pytest.mark.parametrize(
+    "family, values, message",
+    [
+        ("vee-fan", "1", "need n >= 2"),
+        ("grounded", "0", "need k >= 1"),
+        ("vee-fan", "", "bad integer list"),
+        ("vee-fan", ",", "bad integer list"),
+    ],
+)
+def test_cli_scaling_report_bad_values_exit_2(capsys, family, values, message):
+    assert run(["scaling-report", "--family", family, "--values", values]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_cli_partition_cutting(tmp_path, capsys):
