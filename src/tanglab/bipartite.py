@@ -3,8 +3,10 @@ counting, sparse sub-bineighborhoods, bad 4-tuples, H-plus, subgraph
 containment, and the intersection-reverse order-list checker.
 
 Power-law budgets f(x) = q*x^e are compared exactly: for e = p/r and q = qn/qd,
-|E| > q*x^e iff |E|^r * qd^r > qn^r * x^p, a comparison of integers.  Reported
-slack values fall back to floats when e is not an integer; verdicts never do.
+|E| > q*x^e iff |E|^r * qd^r > qn^r * x^p, a comparison of integers; exhaustive
+verdicts read a per-size table of exact thresholds found by bisection on it.
+Reported slack values fall back to floats when e is not an integer; verdicts
+never do.
 """
 
 from __future__ import annotations
@@ -150,10 +152,15 @@ def count_k21(g: BipartiteGraph, side: str = "A") -> int:
 def count_k22(g: BipartiteGraph, method: str = "pairs") -> int:
     """Number of K_{2,2} subgraphs."""
     if method == "pairs":
+        # one bitmask over B per A vertex; a pair's codegree is a popcount
+        bit = {b: 1 << i for i, b in enumerate(g.b_ids)}
+        masks = [sum(bit[b] for b in g.adj_a[a]) for a in g.a_ids]
         total = 0
-        for u, w in itertools.combinations(g.a_ids, 2):
-            total += _c2(len(g.adj_a[u] & g.adj_a[w]))
-        return total
+        for i, m in enumerate(masks):
+            for w in masks[i + 1 :]:
+                k = (m & w).bit_count()
+                total += k * (k - 1)
+        return total // 2
     if method == "edges":
         # quarter-sum over edges of the edge count of the bineighborhood
         total = 0
@@ -186,6 +193,8 @@ class SparsenessBudget:
         p, r = self.e.numerator, self.e.denominator
         object.__setattr__(self, "_ints", (p, r, self.q.numerator**r, self.q.denominator**r))
         object.__setattr__(self, "_floats", (float(self.q), float(self.e)))
+        object.__setattr__(self, "_thresholds", {})
+        object.__setattr__(self, "_tables", {})
 
     def exceeds(self, edges: int, x: int) -> bool:
         """Exact test: edges > f(x)?  (x >= 0 integer)"""
@@ -193,6 +202,25 @@ class SparsenessBudget:
             return edges > 0
         p, r, qn_r, qd_r = self._ints
         return edges**r * qd_r > qn_r * x**p
+
+    def threshold(self, x: int) -> int:
+        """Largest m <= x*x//4 (the most edges a bipartite graph on x vertices
+        has) with not exceeds(m, x); by bisection on exceeds, memoised."""
+        m = self._thresholds.get(x)
+        if m is None:
+            m, hi = 0, x * x // 4
+            while m < hi:
+                mid = (m + hi + 1) // 2
+                m, hi = (m, mid - 1) if self.exceeds(mid, x) else (mid, hi)
+            self._thresholds[x] = m
+        return m
+
+    def table(self, n: int) -> Tuple[List[int], List]:
+        """Thresholds and values f(x) as lists over sizes 0..n, memoised."""
+        if n not in self._tables:
+            sizes = range(n + 1)
+            self._tables[n] = ([self.threshold(x) for x in sizes], [self.value(x) for x in sizes])
+        return self._tables[n]
 
     def value(self, x: int):
         """f(x): exact Fraction for integer exponents, float otherwise."""
@@ -215,22 +243,20 @@ def _best_over_subsets(masks: List[int], n_enum: int, f: SparsenessBudget):
     n_enum-element side and, for each U and each size, V greedily takes the
     vertices with most neighbors in U (which is optimal, since edge counts
     add over the elements of V)."""
+    limits, values = f.table(n_enum + len(masks))
     best_slack = None
     best = (0, 0)
     violated = False
     for u_mask in range(1 << n_enum):
-        u_size = bin(u_mask).count("1")
-        degs = sorted((bin(m & u_mask).count("1") for m in masks), reverse=True)
-        edges = 0
-        for v_size in range(len(degs) + 1):
-            if v_size:
-                edges += degs[v_size - 1]
+        u_size = u_mask.bit_count()
+        degs = sorted([(m & u_mask).bit_count() for m in masks], reverse=True)
+        for v_size, edges in enumerate(itertools.accumulate(degs, initial=0)):
             x = u_size + v_size
             if x == 0:
                 continue
-            if f.exceeds(edges, x):
+            if edges > limits[x]:
                 violated = True
-            slack = edges - f.value(x)
+            slack = edges - values[x]
             if best_slack is None or slack > best_slack:
                 best_slack = slack
                 best = (u_size, v_size)

@@ -73,6 +73,8 @@ def load_family(path) -> CurveFamily:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if parts[0] in ("window", "ground") and (window if parts[0] == "window" else ground) is not None:
+            raise FormatError(path, i, f"second {parts[0]} line")
         if parts[0] == "window" and len(parts) == 3:
             window = (parse_rat(parts[1], i), parse_rat(parts[2], i))
             if window[0] >= window[1]:
@@ -160,7 +162,7 @@ def load_graph(path) -> BipartiteGraph:
     if not (head[1].isdecimal() and head[3].isdecimal()):
         raise FormatError(path, head_lineno, "side sizes must be non-negative integers")
     na, nb = int(head[1]), int(head[3])
-    edges = []
+    edges = {}  # edge -> its line
     for lineno, line in raw[1:]:
         try:
             a, b = map(int, line.split())
@@ -168,5 +170,7 @@ def load_graph(path) -> BipartiteGraph:
             raise FormatError(path, lineno, f"bad edge line {line!r}") from None
         if not (0 <= a < na and 0 <= b < nb):
             raise FormatError(path, lineno, f"edge ({a},{b}) out of range")
-        edges.append((a, b))
+        if (a, b) in edges:
+            raise FormatError(path, lineno, f"edge ({a},{b}) repeats line {edges[a, b]}")
+        edges[a, b] = lineno
     return BipartiteGraph(range(na), range(nb), edges)

@@ -174,6 +174,39 @@ def exceeds_oracle(q, e, edges, x):
     return Fraction(edges) ** e.denominator > q**e.denominator * Fraction(x) ** e.numerator
 
 
+def f_sparse_oracle(g, q, e, scope="adjacent"):
+    """(worst_slack, worst_pair, verdict) of check_f_sparse by enumerating every
+    U in N(a)\\{b}, V in N(b)\\{a} with no greedy step, counting E(U, V) on
+    sets and testing budgets on Fractions; neighbourhoods must be small."""
+    q, e = Fraction(q), Fraction(e)
+
+    def f_value(x):  # f(x) as the report gives it: a float when e is not an integer
+        return q * Fraction(x) ** e.numerator if e.denominator == 1 else float(q) * float(x) ** float(e)
+
+    def subsets(items):
+        return [set(c) for k in range(len(items) + 1) for c in combinations(items, k)]
+
+    pairs = g.edges() if scope == "adjacent" else [(a, b) for a in g.a_ids for b in g.b_ids]
+    worst = worst_pair = None
+    violated = False
+    for a, b in pairs:
+        us, vs = subsets(sorted(g.adj_a[a] - {b})), subsets(sorted(g.adj_b[b] - {a}))
+        best = None
+        for u in us:
+            for v in vs:
+                x = len(u) + len(v)
+                if x == 0:
+                    continue
+                edges = sum(len(g.adj_b[y] & v) for y in u)
+                violated = violated or exceeds_oracle(q, e, edges, x)
+                slack = edges - f_value(x)
+                best = slack if best is None or slack > best else best
+        best = 0 if best is None else best
+        if worst is None or best > worst:
+            worst, worst_pair = best, (a, b)
+    return worst, worst_pair, "fails" if violated else "holds"
+
+
 def bad4_oracle(g, q, c, limit=16, samples=100_000, seed=0):
     """bad_4tuple_scan with the prune decided afresh for every vertex pair, on
     neighbourhoods built as set differences and budgets tested on Fractions."""

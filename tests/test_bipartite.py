@@ -60,6 +60,25 @@ def test_count_k22_methods_agree_randomly():
         assert count_k22(g, "pairs") == count_k22(g, "edges")
 
 
+def test_count_k22_methods_agree_on_any_ids():
+    # tuple and mixed ids from near_regularize
+    split = 0
+    for seed in range(6):
+        g, _ = near_regularize(helpers.random_bipartite_graph(seed, max_side=14), 3)
+        assert count_k22(g, "pairs") == count_k22(g, "edges")
+        split += sum(isinstance(v, tuple) for v in g.a_ids + g.b_ids)
+    assert split
+    # string ids, equal across the two sides, and isolated vertices on both sides
+    names = ["u", "v", "w", "x", "y", "z"]
+    edges = [(a, b) for a in names[:4] for b in names[:4] if a != b]
+    g = BipartiteGraph(names, names, edges)
+    assert count_k22(g, "pairs") == count_k22(g, "edges") == 6
+    # an empty side, and a graph without edges
+    for g in (BipartiteGraph([0, 1, 2], [], []), BipartiteGraph([], ["a"], []), complete(3, 0)):
+        assert count_k22(g, "pairs") == count_k22(g, "edges") == 0
+    assert count_k22(BipartiteGraph(range(3), range(3), []), "pairs") == 0
+
+
 def test_near_regularize_degree_caps():
     for seed in range(10):
         g = helpers.random_bipartite_graph(seed, max_side=20)
@@ -118,6 +137,57 @@ def test_budget_exceeds_matches_fraction_oracle(q, p, r, k, delta):
         assert f.value(xx) == want
 
 
+@settings(max_examples=300)
+@given(
+    q=st.one_of(
+        st.just(F(0)),
+        st.fractions(min_value=0, max_value=40, max_denominator=9),
+        st.integers(min_value=5000, max_value=10**9).map(F),
+    ),
+    e=st.one_of(
+        st.integers(min_value=0, max_value=4).map(F),
+        st.fractions(min_value=0, max_value=4, max_denominator=6),
+    ),
+    x=st.integers(min_value=0, max_value=40),
+)
+@example(q=F(0), e=F(3, 2), x=40)
+@example(q=F(5000), e=F(3, 2), x=40)
+@example(q=F(1), e=F(3, 2), x=16)  # f(16) = 64 = cap: the budget is not strict
+@example(q=F(1, 2), e=F(2), x=7)  # f(7) = 24.5 > cap 12
+@example(q=F(1, 4), e=F(3, 2), x=9)  # f(9) = 6.75: threshold 6 < cap 20
+def test_budget_threshold_is_the_exact_edge_budget(q, e, x):
+    f = SparsenessBudget(q, e)
+    m, cap = f.threshold(x), x * x // 4
+    assert 0 <= m <= cap
+    assert not f.exceeds(m, x) and not helpers.exceeds_oracle(q, e, m, x)
+    if m < cap:
+        assert f.exceeds(m + 1, x) and helpers.exceeds_oracle(q, e, m + 1, x)
+    assert f.threshold(x) == m
+    limits, values = f.table(x)
+    assert limits[x] == m and len(limits) == len(values) == x + 1
+    assert values == [f.value(y) for y in range(x + 1)]
+
+
+def test_budget_threshold_is_memoised_and_capped(monkeypatch):
+    calls = []
+    real = SparsenessBudget.exceeds
+
+    def counting(self, edges, x):
+        calls.append(x)
+        return real(self, edges, x)
+
+    monkeypatch.setattr(SparsenessBudget, "exceeds", counting)
+    f = SparsenessBudget(5000, F(3, 2))
+    assert f.threshold(40) == 400  # the cap: no bipartite graph on 40 vertices has more edges
+    assert len(calls) <= 9  # a bisection over 0..400
+    f.threshold(40)
+    assert len(calls) <= 9
+    f.table(40)
+    before = len(calls)
+    f.table(40)
+    assert len(calls) == before
+
+
 def test_sub_bineighborhood_worst_slack_on_c4():
     g = complete(2, 2)
     f = SparsenessBudget(1, 1)
@@ -142,6 +212,30 @@ def test_check_f_sparse_detects_violation():
     # (U, V) = (3, 3) gives 9 cross edges > f(6) = 6
     assert rep.violated and rep.verdict == "fails"
     assert rep.worst_slack > 0
+
+
+BOTH = {"holds", "fails"}
+
+
+@pytest.mark.parametrize(
+    "q, e, verdicts",
+    [
+        (F(1, 4), F(3, 2), BOTH),
+        (F(1, 2), F(3, 2), {"holds"}),
+        (1, F(3, 2), {"holds"}),
+        (F(1, 8), 2, BOTH),
+        (F(1, 5), 2, BOTH),
+    ],
+)
+def test_check_f_sparse_matches_enumeration_oracle(q, e, verdicts):
+    seen = set()
+    for seed in range(8):
+        g = helpers.random_bipartite_graph(seed, max_side=6)
+        for scope in ("adjacent", "all_pairs"):
+            rep = check_f_sparse(g, SparsenessBudget(q, e), scope=scope)
+            assert (rep.worst_slack, rep.worst_pair, rep.verdict) == helpers.f_sparse_oracle(g, q, e, scope)
+            seen.add(rep.verdict)
+    assert seen == verdicts
 
 
 def test_sampled_mode_never_claims_holds():

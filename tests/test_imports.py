@@ -1,5 +1,7 @@
 """The package runs on the standard library alone: networkx is a test-only
-oracle (for contains_subgraph), never imported by tanglab itself."""
+oracle (for contains_subgraph), never imported by tanglab itself.  Nor does
+the package hold an `assert`: runtime invariants raise, since asserts vanish
+under `python -O`."""
 
 import ast
 import os
@@ -12,18 +14,28 @@ import tanglab
 SRC = Path(tanglab.__file__).parent
 
 
-def test_src_imports_only_the_stdlib():
-    outside = []
+def src_nodes():
+    """(file name, node) for every AST node of every module of tanglab."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [(path.name, n) for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+            yield path.name, node
+
+
+def test_src_imports_only_the_stdlib():
+    outside = []
+    for name, node in src_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        outside += [(name, m) for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_src_has_no_assert():
+    assert [(name, node.lineno) for name, node in src_nodes() if isinstance(node, ast.Assert)] == []
 
 
 def test_cli_import_leaves_networkx_unloaded():

@@ -174,6 +174,32 @@ def test_malformed_file_is_format_error_exit_2(tmp_path, capsys, command, text, 
     assert message in captured.err and captured.out == ""
 
 
+def test_cli_rejects_a_repeated_edge_line(tmp_path, capsys):
+    p = tmp_path / "g.txt"
+    p.write_text("A 2 B 2\n0 0\n0 0\n1 1\n")
+    assert run(["graph", "k22", "--in", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert ":3: edge (0,0) repeats line 2" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "heads, message",
+    [
+        # without the check the second window wins and the flag check fails (exit 1)
+        ("window 0 4\nwindow 0 9\nflags bi_infinite\n", ":3: second window line"),
+        # without the check the second ground silently wins (exit 0)
+        ("ground 0\nground 1\n", ":3: second ground line"),
+    ],
+    ids=["window", "ground"],
+)
+def test_cli_rejects_a_second_window_or_ground_line(tmp_path, capsys, heads, message):
+    p = tmp_path / "fam.txt"
+    p.write_text(f"tanglab-family 1\n{heads}curve a 2\n0 0\n4 1\n")
+    assert run(["validate", "--in", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 # --- cli -------------------------------------------------------------------
 
 
