@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .curves import CurveFamily, chain_position, common_points, tangency_type
+from .curves import CurveFamily, TangencyType, chain_position, common_points, tangency_type
 
 
 class BipartiteGraph:
@@ -135,11 +135,14 @@ def _c2(n: int) -> int:
 
 def count_k21(g: BipartiteGraph, side: str = "A") -> int:
     """Paths of length two centered on `side`, counted by two formulas
-    (center degrees vs common neighborhoods) which must agree."""
+    (center degrees vs common neighborhoods) which must agree.  `side` is
+    "A" or "B"."""
     if side == "A":
         centers, adj_center, others, adj_other = g.a_ids, g.adj_a, g.b_ids, g.adj_b
-    else:
+    elif side == "B":
         centers, adj_center, others, adj_other = g.b_ids, g.adj_b, g.a_ids, g.adj_a
+    else:
+        raise ValueError(f"side must be 'A' or 'B', not {side!r}")
     by_centers = sum(_c2(len(adj_center[v])) for v in centers)
     by_pairs = 0
     for u, w in itertools.combinations(others, 2):
@@ -149,30 +152,18 @@ def count_k21(g: BipartiteGraph, side: str = "A") -> int:
     return by_centers
 
 
-def count_k22(g: BipartiteGraph, method: str = "pairs") -> int:
-    """Number of K_{2,2} subgraphs."""
-    if method == "pairs":
-        # one bitmask over B per A vertex; a pair's codegree is a popcount
-        bit = {b: 1 << i for i, b in enumerate(g.b_ids)}
-        masks = [sum(bit[b] for b in g.adj_a[a]) for a in g.a_ids]
-        total = 0
-        for i, m in enumerate(masks):
-            for w in masks[i + 1 :]:
-                k = (m & w).bit_count()
-                total += k * (k - 1)
-        return total // 2
-    if method == "edges":
-        # quarter-sum over edges of the edge count of the bineighborhood
-        total = 0
-        for a, b in g.edges():
-            nb = g.adj_b[b] - {a}  # A-side
-            na = g.adj_a[a] - {b}  # B-side
-            total += sum(len(g.adj_a[x] & na) for x in nb)
-        q, r = divmod(total, 4)
-        if r:
-            raise AssertionError("per-edge K22 sum not divisible by 4")
-        return q
-    raise ValueError(f"unknown method {method!r}")
+def count_k22(g: BipartiteGraph) -> int:
+    """Number of K_{2,2} subgraphs: C(k, 2) summed over pairs of A vertices
+    with k common neighbours."""
+    # one bitmask over B per A vertex; a pair's codegree is a popcount
+    bit = {b: 1 << i for i, b in enumerate(g.b_ids)}
+    masks = [sum(bit[b] for b in g.adj_a[a]) for a in g.a_ids]
+    total = 0
+    for i, m in enumerate(masks):
+        for w in masks[i + 1 :]:
+            k = (m & w).bit_count()
+            total += k * (k - 1)
+    return total // 2
 
 
 # --- power-law budgets -----------------------------------------------------
@@ -396,7 +387,7 @@ def bad_4tuple_scan(
             nu, nv = len(g.adj_a[a]) - joined, len(g.adj_b[b]) - joined
             if (nu, nv) not in possible:
                 caps = ((min(s * s // 4, nu * nv), s) for s in range(2, nu + nv + 1))
-                possible[nu, nv] = any(f.exceeds(cap, s) for cap, s in caps)
+                possible[nu, nv] = any(cap > f.threshold(s) for cap, s in caps)
             if not possible[nu, nv]:
                 pruned += 1
                 continue
@@ -524,8 +515,8 @@ def _lcs3(l1: Sequence, l2: Sequence):
 def tangency_order_lists(fam_a: CurveFamily, fam_b: CurveFamily, t) -> Dict[str, List[str]]:
     """For each curve b of fam_b: ids of fam_a curves touching b with tangency
     type t (letters: side of the a-curve, side of b), ordered by the position
-    of the touch point along b."""
-    tval = t if isinstance(t, str) else t.value
+    of the touch point along b.  A type outside LL/LR/RL/RR is a ValueError."""
+    t = TangencyType(t)
     out: Dict[str, List[str]] = {}
     for cb in fam_b.curves:
         hits = []
@@ -533,7 +524,7 @@ def tangency_order_lists(fam_a: CurveFamily, fam_b: CurveFamily, t) -> Dict[str,
             for p, kind in common_points(ca, cb):
                 if kind != "touch":
                     continue
-                if tangency_type(ca, cb, p).value == tval:
+                if tangency_type(ca, cb, p) == t:
                     hits.append((chain_position(cb, p), ca.cid))
         hits.sort()
         out[cb.cid] = [cid for _, cid in hits]

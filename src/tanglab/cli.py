@@ -216,7 +216,7 @@ def _cmd_graph(args) -> int:
         _emit(args, threshold=format_rat(args.t), vertices=h.n_vertices, edges=h.n_edges, out=args.out)
         return 0
     if sub == "k22":
-        _emit(args, k22_pairs=count_k22(g, method="pairs"))
+        _emit(args, k22_pairs=count_k22(g))
         return 0
     if sub == "sparse-check":
         f = SparsenessBudget(args.f_q, args.f_e)

@@ -345,9 +345,6 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
 # --- families --------------------------------------------------------------
 
 
-_DISJOINT = ("ok", ())  # the contact-map entry of every disjoint pair
-
-
 class CurveFamily:
     """An ordered collection of chains plus window/ground metadata.
 
@@ -396,8 +393,8 @@ class CurveFamily:
 
     def contacts(self) -> Dict[Tuple[str, str], tuple]:
         """Pairwise contact map {(id_i, id_j): ('ok', [(pt, kind), ...]) or
-        ('degenerate', reason)} for i < j in family order; every disjoint
-        pair shares the one entry `_DISJOINT`."""
+        ('degenerate', reason)} for i < j in family order.  A pair with no
+        entry is disjoint: it shares no point."""
         if self._contacts is None:
             scale = self.scale
             result: Dict[Tuple[str, str], tuple] = {}
@@ -410,7 +407,8 @@ class CurveFamily:
                     except DegeneracyError as e:
                         result[key] = ("degenerate", str(e))
                         continue
-                    result[key] = ("ok", pts) if pts else _DISJOINT
+                    if pts:
+                        result[key] = ("ok", pts)
             self._contacts = result
         return self._contacts
 
@@ -481,8 +479,9 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     endpointish = []
     tang = 0
     crossn = 0
-    disj = 0
-    precisely = True
+    n = len(family)
+    disj = n * (n - 1) // 2 - len(contacts)
+    precisely = disj == 0
     # points keyed by ints, which hash much faster than Fractions
     ends = {c.cid: (_point_key(c.start), _point_key(c.end)) for c in family.curves}
     first_pair: Dict[tuple, Tuple[str, str]] = {}  # point -> first pair through it
@@ -494,10 +493,7 @@ def validate_family(family: CurveFamily) -> ValidationReport:
             precisely = False
             continue
         pts = data
-        if len(pts) == 0:
-            disj += 1
-            precisely = False
-        elif len(pts) > 1:
+        if len(pts) > 1:
             multi.append((i, j, len(pts)))
             precisely = False
         else:
@@ -527,7 +523,7 @@ def validate_family(family: CurveFamily) -> ValidationReport:
 
     is_one = not (degenerate or multi or triples or non_simple)
     family._report = ValidationReport(
-        n=len(family),
+        n=n,
         is_1_intersecting=is_one,
         is_precisely_1=is_one and precisely,
         non_simple=non_simple,

@@ -58,19 +58,6 @@ def _require_x_monotone(family: CurveFamily) -> None:
             raise ValueError(f"{c.cid} is not x-monotone")
 
 
-def _pair_points(family: CurveFamily) -> List[Tuple[Tuple[str, str], List[Point]]]:
-    """(id pair, common points) for every pair of an x-monotone family, read
-    from its cached contact map.  Raises ValueError on a chain that is not
-    x-monotone and DegeneracyError on a degenerate pair."""
-    _require_x_monotone(family)
-    out = []
-    for key, (status, data) in family.contacts().items():
-        if status == "degenerate":
-            raise DegeneracyError(data)
-        out.append((key, [p for p, _ in data]))
-    return out
-
-
 def _grid(p, scale: int) -> Tuple[int, int, int]:
     """Point p on the grid scaled by `scale`, as int homogeneous coordinates
     (X, Y, W) with W > 0."""
@@ -127,14 +114,20 @@ def _sweep(family: CurveFamily):
     for the open slab right of each xs[j]: its chains from bottom to top, and
     the cell of each gap (gaps[k] lies below order[k], gaps[-1] above the
     top).  cells holds the Trapezoids opened so far, cell 0 left of every
-    event; a cell's x_hi is set when it closes."""
+    event; a cell's x_hi is set when it closes.
+
+    Raises ValueError on a chain that is not x-monotone and DegeneracyError
+    on a degenerate pair."""
+    _require_x_monotone(family)
     scale = family.scale
     through: Dict[Point, Set[PolyChain]] = {}
     for c in family.curves:
         through.setdefault(c.start, set()).add(c)
         through.setdefault(c.end, set()).add(c)
-    for (a, b), pts in _pair_points(family):
-        for p in pts:
+    for (a, b), (status, data) in family.contacts().items():
+        if status == "degenerate":
+            raise DegeneracyError(data)
+        for p, _ in data:
             through.setdefault(p, set()).update((family.curve(a), family.curve(b)))
     events_by_x: Dict[Fraction, List[Fraction]] = {}
     for p in sorted(through):
@@ -249,11 +242,13 @@ def vertical_visibility_pairs(family: CurveFamily) -> Set[Tuple[str, str]]:
     _, _, slabs, cells = _sweep(family)
     for _ in slabs:
         pass
-    disjoint = {frozenset(key) for key, pts in _pair_points(family) if not pts}
+    contacts = family.contacts()  # a disjoint pair has no entry
     return {
         tuple(sorted((t.bottom, t.top)))
         for t in cells
-        if frozenset((t.bottom, t.top)) in disjoint
+        if None not in (t.bottom, t.top)
+        and (t.bottom, t.top) not in contacts
+        and (t.top, t.bottom) not in contacts
     }
 
 
@@ -464,19 +459,22 @@ def biinfinite_extend(
     family: CurveFamily,
     mode="above",
     window: Optional[Tuple[Fraction, Fraction]] = None,
-    verify: bool = True,
 ) -> CurveFamily:
     """Extend every chain to span a common window by shooting steep rays from
     both endpoints: upward for mode 'above', downward for 'below' (the left
     and right rays get opposite slopes, so extensions of same-mode curves are
     parallel and each pair gains at most two new crossings).
 
-    mode: a single 'above'/'below' or a {cid: mode} map.  When verify is on,
-    the ray slope is bumped until no pair gains more than two common points
-    and no degeneracy appears (gives up after 32 bumps).
+    mode: a single 'above'/'below' or a {cid: mode} map naming exactly the
+    family's curves.  The ray slope is bumped until no pair gains more than
+    two common points and no degeneracy appears (gives up after 32 bumps).
     """
     _require_x_monotone(family)
     modes = {c.cid: mode for c in family.curves} if isinstance(mode, str) else dict(mode)
+    ids = set(family.ids)
+    if modes.keys() != ids:
+        missing, unknown = sorted(ids - modes.keys()), sorted(map(str, modes.keys() - ids))
+        raise ValueError(f"mode map must name exactly the family's curves: missing {missing}, unknown {unknown}")
     for cid, m in modes.items():
         if m not in ("above", "below"):
             raise ValueError(f"bad mode {m!r} for {cid}")
@@ -523,14 +521,12 @@ def biinfinite_extend(
             x_monotone=True,
             bi_infinite=True,
         )
-        if not verify:
-            return out
         ok = True
         for key, (status, data) in out.contacts().items():
             if status == "degenerate":
                 ok, last_error = False, data
                 break
-            prev = before[key]
+            prev = before.get(key, 0)
             if prev is None or len(data) > prev + 2:
                 ok, last_error = False, f"{key}: {prev} -> {len(data)} common points"
                 break

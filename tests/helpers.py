@@ -166,6 +166,20 @@ def random_bipartite_graph(seed, max_side=40, p=None):
     return BipartiteGraph(range(na), range(nb), edges)
 
 
+def k22_edges_oracle(g):
+    """Number of K_{2,2} subgraphs as a quarter of the sum, over edges ab, of
+    the edges between N(b)\\{a} and N(a)\\{b}, counted on sets."""
+    total = 0
+    for a, b in g.edges():
+        nb = g.adj_b[b] - {a}  # A-side
+        na = g.adj_a[a] - {b}  # B-side
+        total += sum(len(g.adj_a[x] & na) for x in nb)
+    q, r = divmod(total, 4)
+    if r:
+        raise AssertionError("per-edge K22 sum not divisible by 4")
+    return q
+
+
 def exceeds_oracle(q, e, edges, x):
     """edges > q*x^e by Fraction arithmetic: edges^r > q^r * x^p, e = p/r."""
     q, e = Fraction(q), Fraction(e)

@@ -48,16 +48,25 @@ def test_count_k21_k33():
     assert count_k21(g, side="B") == 9
 
 
+def test_count_k21_rejects_unknown_side():
+    g = BipartiteGraph([0, 1], [0, 1, 2], [(0, 0), (0, 1), (1, 1), (1, 2)])
+    assert count_k21(g, side="A") == 2
+    assert count_k21(g, side="B") == 1
+    for side in ("a", "junk"):
+        with pytest.raises(ValueError, match="side"):
+            count_k21(g, side=side)
+
+
 def test_count_k22_k33_both_methods():
     g = complete(3, 3)
-    assert count_k22(g, method="pairs") == 9
-    assert count_k22(g, method="edges") == 9
+    assert count_k22(g) == 9
+    assert helpers.k22_edges_oracle(g) == 9
 
 
 def test_count_k22_methods_agree_randomly():
     for seed in range(20):
         g = helpers.random_bipartite_graph(seed, max_side=14)
-        assert count_k22(g, "pairs") == count_k22(g, "edges")
+        assert count_k22(g) == helpers.k22_edges_oracle(g)
 
 
 def test_count_k22_methods_agree_on_any_ids():
@@ -65,18 +74,18 @@ def test_count_k22_methods_agree_on_any_ids():
     split = 0
     for seed in range(6):
         g, _ = near_regularize(helpers.random_bipartite_graph(seed, max_side=14), 3)
-        assert count_k22(g, "pairs") == count_k22(g, "edges")
+        assert count_k22(g) == helpers.k22_edges_oracle(g)
         split += sum(isinstance(v, tuple) for v in g.a_ids + g.b_ids)
     assert split
     # string ids, equal across the two sides, and isolated vertices on both sides
     names = ["u", "v", "w", "x", "y", "z"]
     edges = [(a, b) for a in names[:4] for b in names[:4] if a != b]
     g = BipartiteGraph(names, names, edges)
-    assert count_k22(g, "pairs") == count_k22(g, "edges") == 6
+    assert count_k22(g) == helpers.k22_edges_oracle(g) == 6
     # an empty side, and a graph without edges
     for g in (BipartiteGraph([0, 1, 2], [], []), BipartiteGraph([], ["a"], []), complete(3, 0)):
-        assert count_k22(g, "pairs") == count_k22(g, "edges") == 0
-    assert count_k22(BipartiteGraph(range(3), range(3), []), "pairs") == 0
+        assert count_k22(g) == helpers.k22_edges_oracle(g) == 0
+    assert count_k22(BipartiteGraph(range(3), range(3), [])) == 0
 
 
 def test_near_regularize_degree_caps():
@@ -441,3 +450,13 @@ def test_tangency_order_lists_ordering():
             t = cand
             assert lists["b0"] == ["r_early", "r_late"]
     assert t is not None
+
+
+def test_tangency_order_lists_rejects_unknown_type():
+    fam_a = CurveFamily([PolyChain("r", [(2, 2), (4, 0), (6, 2)])])
+    fam_b = CurveFamily([PolyChain("b0", [(0, 0), (20, 0)])])
+    assert tangency_order_lists(fam_a, fam_b, "RL") == {"b0": ["r"]}
+    assert tangency_order_lists(fam_a, fam_b, TangencyType.RL) == {"b0": ["r"]}
+    for t in ("XX", "rl", ""):
+        with pytest.raises(ValueError):
+            tangency_order_lists(fam_a, fam_b, t)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -274,11 +275,86 @@ def test_tangency_graph_types_touches_without_reclassifying(monkeypatch):
     assert tg.edge_count == 7 and all(isinstance(e.type, TangencyType) for e in tg.edges)
 
 
-def test_disjoint_pairs_share_one_entry():
+def test_disjoint_pairs_have_no_entry():
     fam = CurveFamily([chain(c, (0, y), (1, y)) for c, y in zip("abc", range(3))])
-    first, *rest = fam.contacts().values()
-    assert first == ("ok", ()) and all(e is first for e in rest)
+    assert fam.contacts() == {}
     assert validate_family(fam).disjoint_count == 3
+
+
+def _dense_recount(fam):
+    """(keys, disjoint, tangencies, crossings, every pair meets once) from
+    `common_points` called on every pair of the family."""
+    keys, disj, tang, crossn, all_one = {}, 0, 0, 0, True
+    cs = fam.curves
+    for i, ci in enumerate(cs):
+        for cj in cs[i + 1 :]:
+            try:
+                pts = common_points(ci, cj)
+            except DegeneracyError:
+                keys[ci.cid, cj.cid] = "degenerate"
+                all_one = False
+                continue
+            if pts:
+                keys[ci.cid, cj.cid] = pts
+            disj += not pts
+            if len(pts) == 1:
+                tang += pts[0][1] == "touch"
+                crossn += pts[0][1] == "cross"
+            all_one = all_one and len(pts) == 1
+    return keys, disj, tang, crossn, all_one
+
+
+def _raw_random_family(seed, n=10):
+    """Unfiltered chains on a small grid: overlaps, multi pairs and triple
+    points all occur."""
+    rng = random.Random(f"{seed}-raw")
+    chains = []
+    for i in range(n):
+        verts, k = [(rng.randint(0, 6), rng.randint(0, 6))], rng.randint(2, 4)
+        while len(verts) < k:
+            v = (rng.randint(0, 6), rng.randint(0, 6))
+            if v != verts[-1]:
+                verts.append(v)
+        chains.append(PolyChain(f"r{i}", verts))
+    return CurveFamily(chains)
+
+
+def _map_families():
+    for seed in range(4):
+        yield helpers.random_precisely1_family(seed)
+        yield helpers.random_segment_family(seed, n_max=24)
+        yield helpers.random_spanning_family(seed)
+        yield helpers.two_grounded_instance(seed)[2]
+    for seed in range(8):
+        yield _raw_random_family(seed)
+    yield gen_vee_fan(8)
+    yield gen_doubling(3)
+    yield gen_grounded_family(2)
+
+
+def test_contact_map_keys_and_report_match_dense_recount():
+    kinds = set()
+    for fam in _map_families():
+        keys, disj, tang, crossn, all_one = _dense_recount(fam)
+        contacts = fam.contacts()
+        assert contacts.keys() == keys.keys()
+        for key, (status, data) in contacts.items():
+            assert status == ("degenerate" if keys[key] == "degenerate" else "ok")
+            if status == "ok":
+                assert data == keys[key] and data
+        rep = validate_family(fam)
+        assert (rep.disjoint_count, rep.tangency_count, rep.crossing_count) == (disj, tang, crossn)
+        assert rep.is_precisely_1 == (rep.is_1_intersecting and all_one)
+        kinds.update(
+            k for k, hit in (
+                ("disjoint", disj),
+                ("degenerate", rep.degenerate_pairs),
+                ("multi", rep.multi_pairs),
+                ("triple", rep.triple_points),
+                ("precisely-1", rep.is_precisely_1),
+            ) if hit
+        )
+    assert kinds == {"disjoint", "degenerate", "multi", "triple", "precisely-1"}
 
 
 # --- properties ------------------------------------------------------------
@@ -293,10 +369,9 @@ def test_common_points_symmetric(t1, t2):
         return
     a = chain("a", (t1[0], t1[1]), (t1[2], t1[3]))
     b = chain("b", (t2[0], t2[1]), (t2[2], t2[3]))
-    fam = CurveFamily([a, b])
-    (status, data), = fam.contacts().values()
-    fam2 = CurveFamily([b, a])
-    (status2, data2), = fam2.contacts().values()
+    # a pair with no entry shares no point
+    status, data = CurveFamily([a, b]).contacts().get(("a", "b"), ("ok", []))
+    status2, data2 = CurveFamily([b, a]).contacts().get(("b", "a"), ("ok", []))
     assert status == status2
     if status == "ok":
         assert [(p, k) for p, k in data] == [(p, k) for p, k in data2]

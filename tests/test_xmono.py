@@ -554,6 +554,16 @@ def test_biinfinite_extend_adds_at_most_two_crossings():
     assert len(pts) <= 2
 
 
+def test_biinfinite_extend_mode_map_names_exactly_the_curves():
+    fam = CurveFamily([chain("a", (0, 0), (2, 0)), chain("b", (5, 3), (7, 3))])
+    ext = biinfinite_extend(fam, mode={"a": "above", "b": "below"}, window=(F(-1), F(8)))
+    assert validate_family(ext).bi_infinite_ok
+    with pytest.raises(ValueError, match=r"missing \['b'\], unknown \[\]"):
+        biinfinite_extend(fam, mode={"a": "above"})
+    with pytest.raises(ValueError, match=r"missing \[\], unknown \['zz'\]"):
+        biinfinite_extend(fam, mode={"a": "above", "b": "below", "zz": "above"})
+
+
 # --- paper-flavored properties ---------------------------------------------
 
 
