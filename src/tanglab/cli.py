@@ -74,9 +74,7 @@ def _cmd_generate(args) -> int:
     elif kind == "incidence-grid":
         inst = gen_incidence_grid(args.k)
         pt_index = {p: i for i, p in enumerate(inst.points)}
-        edges = [
-            (pt_index[p], j) for j, l in enumerate(inst.lines) for p in inst.points_on_line(l)
-        ]
+        edges = [(pt_index[p], j) for j, l in enumerate(inst.lines) for p in inst.points_on_line(l)]
         g = BipartiteGraph(range(len(inst.points)), range(len(inst.lines)), edges)
         save_graph(g, args.out)
         _emit(
@@ -85,7 +83,7 @@ def _cmd_generate(args) -> int:
             k=args.k,
             points=len(inst.points),
             lines=len(inst.lines),
-            incidences=inst.incidences(),
+            incidences=len(edges),
             out=args.out,
         )
     elif kind == "random-graph":

@@ -12,6 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .bipartite import BipartiteGraph
@@ -101,10 +104,14 @@ class IncidenceInstance:
     points: List[Tuple[int, int]]
     lines: List[Tuple[int, int]]  # (slope, intercept)
 
+    @cached_property
+    def _grid(self) -> Tuple[set, List[int]]:  # the point set, its distinct abscissas
+        return set(self.points), sorted({a for a, _ in self.points})
+
     def points_on_line(self, line: Tuple[int, int]) -> List[Tuple[int, int]]:
         m, c = line
-        pset = set(self.points)
-        return sorted(p for p in pset if p[1] == m * p[0] + c)
+        pset, xs = self._grid
+        return [(a, m * a + c) for a in xs if (a, m * a + c) in pset]
 
     def incidences(self) -> int:
         return sum(len(self.points_on_line(l)) for l in self.lines)
@@ -136,115 +143,107 @@ def gen_grounded_family(k: int, eps: Optional[Fraction] = None) -> CurveFamily:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    k2 = k * k
-    rho_max = Fraction(1, 32 * k2)
+    rho_max = Fraction(1, 32 * k * k)
     rho = rho_max if eps is None else Fraction(eps)
     if not 0 < rho <= rho_max:
-        raise ValueError(f"eps too large: need 0 < eps <= 1/{32 * k2}")
-    s_steep = 4 * k + 1  # envelope-schedule slope constant
-    gamma = rho / (64 * (1 + 2 * k * s_steep))
-    eps_bar = gamma * (1 + 2 * k * s_steep)  # = rho/64, max perturbation depth
-    lines = [(m, c) for m in range(2 * k) for c in range(2 * k2)]
-
+        raise ValueError(f"eps too large: need 0 < eps <= 1/{32 * k * k}")
+    quantum = rho / (64 * (1 + 2 * k * (4 * k + 1)) * 2**47)  # gamma / 2^47, see _grounded_attempt
     for salt in range(16):
-        fam = _grounded_attempt(k, rho, gamma, eps_bar, s_steep, lines, salt)
-        if fam is not None:
-            return fam
+        draws = _grounded_draws(4 * k**3, salt)
+        if _off_grid_crossings(k, draws, quantum) is not None:
+            return _grounded_attempt(k, quantum, draws)
     raise RuntimeError("grounded construction: no generic shift found")
 
 
-def _grounded_attempt(k, rho, gamma, eps_bar, s_steep, lines, salt) -> Optional[CurveFamily]:
-    k2 = k * k
-    ground = Fraction(-2)
-    x_right = Fraction(k + 1)
-    plateau_r = 2 * gamma * s_steep  # right extent of each perturbation zone
-    ramp = rho / 16
-
-    def dip(m):  # perturbation depth, concave in the slope
-        return gamma * (1 + s_steep * m - m * m)
-
-    # tiny generic per-line shifts: pseudo-random so that no affine relation
-    # among the base lines survives (a shift linear in (m, c) would preserve
-    # every off-grid concurrency); distinctness keeps ground endpoints apart
+def _grounded_draws(n: int, salt: int) -> List[int]:
+    """n distinct line shifts in units of the quantum: pseudo-random, since a
+    shift linear in (m, c) would preserve every off-grid concurrency, and
+    distinct to keep ground endpoints apart."""
     rng = random.Random(0xC0FFEE + salt)
-    quantum = gamma / (8 << 44)
-    draws: List[int] = []
-    taken = set()
-    while len(draws) < len(lines):
-        r = rng.getrandbits(44) + 1
-        if r not in taken:
-            taken.add(r)
-            draws.append(r)
-    shift = {lj: draws[j] * quantum for j, lj in enumerate(lines)}
+    draws: Dict[int, None] = {}
+    while len(draws) < n:
+        draws[rng.getrandbits(44) + 1] = None
+    return list(draws)
 
-    # off-grid concurrency check: crossings of the shifted base lines that do
-    # not happen at a grid point must be pairwise distinct
-    seen: Dict[Tuple[Fraction, Fraction], Tuple[int, int]] = {}
-    for i in range(len(lines)):
-        mi, ci = lines[i]
-        for j in range(i + 1, len(lines)):
-            mj, cj = lines[j]
-            if mi == mj:
-                continue
-            x = Fraction((cj + shift[lines[j]]) - (ci + shift[lines[i]]), mi - mj)
-            base_x = Fraction(cj - ci, mi - mj)
-            if base_x.denominator == 1 and 0 <= base_x < k:
-                continue  # grid-point crossing; handled inside the zone
-            p = (x, mi * x + ci + shift[lines[i]])
-            if p in seen:
-                return None  # concurrency survived this shift; retry
-            seen[p] = (i, j)
 
+def _off_grid_crossings(k: int, draws: List[int], quantum: Fraction) -> Optional[int]:
+    """The number of crossings of the shifted base lines y = m*x + c + r*quantum
+    (r = draws[m*2k^2 + c]) that are not at a grid point, or None when two of
+    them coincide.  On the grid scaled by quantum = qn/qd a line has the int
+    intercept C = c*qd + r*qn, and lines of slopes mi < mj cross at
+    (Ci - Cj, mj*Ci - mi*Cj) / (qd*d), d = mj - mi, a grid point when
+    (ci - cj) / d is an int in [0, k).  Scaling once more by lcm(1..2k-1)
+    makes every crossing an int pair."""
+    qn, qd, n_c = quantum.numerator, quantum.denominator, 2 * k * k
+    C = [[c * qd + r * qn for c, r in enumerate(draws[m * n_c:(m + 1) * n_c])] for m in range(2 * k)]
+    big = lcm(*range(1, 2 * k))
+    seen = set()
+    for mi, mj in combinations(range(2 * k), 2):
+        d, s = mj - mi, big // (mj - mi)
+        right = [(cj, Cj * s, mi * Cj * s) for cj, Cj in enumerate(C[mj])]
+        for ci, Ci in enumerate(C[mi]):
+            x, y = Ci * s, mj * Ci * s
+            keys = [(x - xj, y - yj) for cj, xj, yj in right if (ci - cj) % d or not 0 <= ci - cj < d * k]
+            n = len(seen) + len(keys)
+            seen.update(keys)
+            if len(seen) != n:
+                return None  # a concurrency survived this shift
+    return len(seen)
+
+
+def _grounded_attempt(k: int, quantum: Fraction, draws: List[int]) -> CurveFamily:
+    """The grounded family for the base-line shifts draws[m*2k^2 + c] * quantum,
+    built on one integer grid: each coordinate is i + j*u for ints i, j and
+    the unit u = quantum / (3k^2), and becomes a Fraction only when emitted.
+    Each chain is built once, already mirrored (y -> -y), and each bounce is
+    checked exactly against the line-curve it should touch."""
+    k2 = k * k
+    s_steep = 4 * k + 1  # envelope-schedule slope constant
+    h = 3 * k2  # quantum / u
+    qn, den = quantum.numerator, quantum.denominator * h
+    gamma = h << 47  # in units of u, as every length below
+    rho = 64 * (1 + 2 * k * s_steep) * gamma
+
+    def emit(i: int, j: int) -> Fraction:  # the rational i + j*u
+        return Fraction(i * den + j * qn, den)
+
+    dips = [gamma * (1 + s_steep * m - m * m) for m in range(2 * k)]  # concave in the slope
+    # --- line-curves: raised by dips[m] on [a - rho/16, a + plateau_r] ------
+    plateau_r = 2 * gamma * s_steep  # right extent of each perturbation zone
+    zone = [(-rho // 8, 0), (-rho // 16, 1), (plateau_r, 1), (plateau_r + rho // 16, 0)]
+    grid_x = [(-2, 0, 0)] + [(a, off, dipped) for a in range(k) for off, dipped in zone] + [(k + 1, 0, 0)]
+    xs = [emit(i, j) for i, j, _ in grid_x]
     chains: List[PolyChain] = []
-    # --- line-curves (built downward-perturbed, mirrored at the end) -------
-    for (m, c) in lines:
-        tau = shift[(m, c)]
+    for j, r in enumerate(draws):
+        m, c = divmod(j, 2 * k2)
+        ys = [emit(-m * i - c, dipped * dips[m] - m * off - r * h) for i, off, dipped in grid_x]
+        chains.append(PolyChain(f"L{m}_{c}", zip(xs, ys)))
 
-        def base(x):
-            return m * x + c + tau
-
-        verts = [Point(ground, base(ground))]
-        for a in range(k):
-            d = dip(m)
-            verts.append(Point(a - rho / 8, base(a - rho / 8)))
-            verts.append(Point(a - rho / 16, base(a - rho / 16) - d))
-            verts.append(Point(a + plateau_r, base(a + plateau_r) - d))
-            verts.append(Point(a + plateau_r + ramp, base(a + plateau_r + ramp)))
-        verts.append(Point(x_right, base(x_right)))
-        chains.append(PolyChain(f"L{m}_{c}", verts))
-
-    # --- point-curves ------------------------------------------------------
+    # --- point-curves --------------------------------------------------------
     y_deep = 4 * k2 + 2 * k + 4  # below every line everywhere in the window
-    slot_w = rho / (48 * k2)  # per-point descent slot inside [a-rho/3, a-rho/4]
-    arm = gamma / 4
-    line_chain = {lines[j]: chains[j] for j in range(len(lines))}
+    slot_w = rho // (48 * k2)  # per-point descent slot inside [a-rho/3, a-rho/4]
+    arm = gamma // 4
+    rides = [emit(-b, 2 * k * rho // 3 + rho // 32) for b in range(4 * k2)]
     for a in range(k):
-        for b in range(4 * k2):
-            depth = Fraction(y_deep + 4 * k2 * a + b + 1)
-            ride = b - 2 * k * rho / 3 - 2 * eps_bar
-            s_lo = a - rho / 3 + b * slot_w
-            s_hi = s_lo + slot_w / 2
-            verts = [Point(ground, -depth), Point(s_lo, -depth), Point(s_hi, ride)]
-            incident = [(m, b - m * a) for m in range(2 * k) if 0 <= b - m * a < 2 * k2]
+        x_end = emit(a, plateau_r - gamma // 8)
+        for b, ride in enumerate(rides):
+            depth = y_deep + 4 * k2 * a + b + 1
+            s_lo = b * slot_w - rho // 3
+            verts = [(-2, depth), (emit(a, s_lo), depth), (emit(a, s_lo + slot_w // 2), ride)]
             # one bounce per incident line, in decreasing-slope order (the
             # steepest line owns the leftmost envelope segment)
-            for (m, c) in sorted(incident, reverse=True):
+            for m in reversed(range(2 * k)):
+                if not 0 <= b - m * a < 2 * k2:
+                    continue
+                j = m * 2 * k2 + b - m * a  # the incident line's index
                 t_b = gamma * (s_steep - 2 * m)
-                xb = a + t_b
-                apex = value_at(line_chain[(m, c)], xb)
-                expected = b + shift[(m, c)] + m * t_b - dip(m)
-                if apex != expected:
+                xb, apex = emit(a, t_b), emit(-b, dips[m] - m * t_b - draws[j] * h)
+                if value_at(chains[j], xb) != apex:
                     raise RuntimeError(f"P{a}_{b}: bounce missed its envelope segment")
-                verts.append(Point(xb - arm, ride))
-                verts.append(Point(xb, apex))
-                verts.append(Point(xb + arm, ride))
-            verts.append(Point(a + plateau_r - gamma / 8, ride))
+                verts += [(emit(a, t_b - arm), ride), (xb, apex), (emit(a, t_b + arm), ride)]
+            verts.append((x_end, ride))
             chains.append(PolyChain(f"P{a}_{b}", verts))
-
-    mirrored = [
-        PolyChain(c.cid, [Point(v.x, -v.y) for v in c.vertices]) for c in chains
-    ]
-    return CurveFamily(mirrored, ground=ground, x_monotone=True)
+    return CurveFamily(chains, ground=Fraction(-2), x_monotone=True)
 
 
 def gen_random_bipartite(n: int, c, seed: int) -> BipartiteGraph:

@@ -42,6 +42,8 @@ def save_family(family: CurveFamily, path, extra_flags: Sequence[str] = ()) -> N
     if flags:
         lines.append("flags " + " ".join(flags))
     for c in sorted(family.curves, key=lambda c: c.cid):
+        if c.cid.split() != [c.cid]:  # load_family splits lines on whitespace
+            raise ValueError(f"curve id {c.cid!r}: need a non-empty id without whitespace")
         lines.append(f"curve {c.cid} {len(c.vertices)}")
         for v in c.vertices:
             lines.append(f"{format_rat(v.x)} {format_rat(v.y)}")

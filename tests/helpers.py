@@ -9,7 +9,7 @@ deliberately different routes than the library code.
 from fractions import Fraction
 from itertools import combinations
 import random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -719,3 +719,30 @@ def cell_stats_oracle(partition, family):
         s, m = short.get(cell, set()), meets.get(cell, set())
         out.append(CellStats(cell, sorted(m - s), sorted(s)))
     return out
+
+
+# --- grounded generator ------------------------------------------------------
+
+
+def off_grid_crossings_oracle(k, lines, shift):
+    """The grounded generator's original concurrency check, on Fractions: the
+    number of crossings of the base lines y = m*x + c + shift[(m, c)] that do
+    not happen at a grid point, or None when two of them coincide."""
+    # off-grid concurrency check: crossings of the shifted base lines that do
+    # not happen at a grid point must be pairwise distinct
+    seen: Dict[Tuple[Fraction, Fraction], Tuple[int, int]] = {}
+    for i in range(len(lines)):
+        mi, ci = lines[i]
+        for j in range(i + 1, len(lines)):
+            mj, cj = lines[j]
+            if mi == mj:
+                continue
+            x = Fraction((cj + shift[lines[j]]) - (ci + shift[lines[i]]), mi - mj)
+            base_x = Fraction(cj - ci, mi - mj)
+            if base_x.denominator == 1 and 0 <= base_x < k:
+                continue  # grid-point crossing; handled inside the zone
+            p = (x, mi * x + ci + shift[lines[i]])
+            if p in seen:
+                return None  # concurrency survived this shift; retry
+            seen[p] = (i, j)
+    return len(seen)

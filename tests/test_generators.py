@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+import helpers
 from tanglab import (
+    IncidenceInstance,
     PolyChain,
     gen_doubling,
     gen_grounded_family,
@@ -12,7 +15,9 @@ from tanglab import (
     tangency_graph,
     validate_family,
 )
-from tanglab.generators import _extend_flat
+from tanglab import generators
+from tanglab.generators import _extend_flat, _grounded_attempt, _grounded_draws, _off_grid_crossings
+from tanglab.io import save_family
 
 F = Fraction
 
@@ -61,6 +66,16 @@ def test_incidence_membership_is_literal():
             assert b == m * a + c
 
 
+def test_points_on_line_on_a_hand_built_instance():
+    # repeated and unsorted points, two on one abscissa
+    inst = IncidenceInstance(1, [(2, 5), (0, 1), (2, 5), (1, 3), (1, 4), (7, 0)], [(2, 1), (0, 4), (-1, 7)])
+    assert inst.points_on_line((2, 1)) == [(0, 1), (1, 3), (2, 5)]
+    assert inst.points_on_line((0, 4)) == [(1, 4)]
+    assert inst.points_on_line((-1, 7)) == [(2, 5), (7, 0)]
+    assert inst.points_on_line((5, 5)) == []
+    assert inst.incidences() == 6
+
+
 def test_grounded_family_small():
     fam = gen_grounded_family(1)
     rep = validate_family(fam)
@@ -80,6 +95,86 @@ def test_grounded_accepts_smaller_eps():
     fam = gen_grounded_family(1, eps=F(1, 64))
     rep = validate_family(fam)
     assert rep.is_1_intersecting and rep.tangency_count == 4
+
+
+def _quantum(k, eps=None):
+    """The grounded generator's shift quantum, gamma / 2^47."""
+    rho = F(1, 32 * k * k) if eps is None else eps
+    gamma = rho / (64 * (1 + 2 * k * (4 * k + 1)))
+    return gamma / 2**47
+
+
+@pytest.mark.parametrize("k, eps", [(1, None), (2, None), (3, None), (4, None), (2, F(3, 1000))])
+def test_off_grid_crossings_match_the_fraction_oracle(k, eps):
+    quantum, lines = _quantum(k, eps), gen_incidence_grid(k).lines
+    if eps is not None:
+        assert quantum.numerator == 3  # the int grid must carry the numerator
+    for salt in range(16):
+        draws = _grounded_draws(len(lines), salt)
+        shift = {l: r * quantum for l, r in zip(lines, draws)}
+        got = _off_grid_crossings(k, draws, quantum)
+        assert got is not None and got == helpers.off_grid_crossings_oracle(k, lines, shift), salt
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_off_grid_crossings_reject_shifts_that_keep_a_concurrency(k):
+    # equal shifts, or shifts linear in (m, c), keep the unshifted lines'
+    # off-grid concurrencies, e.g. x = k on lines (0, 2k), (1, k), (2, 0)
+    quantum, lines = _quantum(k), gen_incidence_grid(k).lines
+    for draws in ([5] * len(lines), [3 * m + 7 * c + 1 for m, c in lines]):
+        shift = {l: r * quantum for l, r in zip(lines, draws)}
+        assert helpers.off_grid_crossings_oracle(k, lines, shift) is None
+        assert _off_grid_crossings(k, draws, quantum) is None
+
+
+def test_grounded_retries_the_next_salt_when_a_concurrency_survives(monkeypatch):
+    k, calls = 2, []
+
+    def fail_first(k, draws, quantum):
+        calls.append(draws)
+        return None if len(calls) == 1 else _off_grid_crossings(k, draws, quantum)
+
+    monkeypatch.setattr(generators, "_off_grid_crossings", fail_first)
+    fam = gen_grounded_family(k)
+    assert len(calls) == 2 and calls[1] == _grounded_draws(4 * k**3, 1) != calls[0]
+    assert [c.vertices for c in fam.curves] == [
+        c.vertices for c in _grounded_attempt(k, _quantum(k), calls[1]).curves
+    ]
+    rep = validate_family(fam)
+    assert rep.is_1_intersecting and rep.grounded_ok and rep.tangency_count == 4 * k**4
+
+
+def test_grounded_gives_up_after_sixteen_salts(monkeypatch):
+    calls = []
+    monkeypatch.setattr(generators, "_off_grid_crossings", lambda *a: calls.append(a) or None)
+    with pytest.raises(RuntimeError, match="no generic shift"):
+        gen_grounded_family(1)
+    assert len(calls) == 16
+
+
+def test_grounded_checks_every_bounce_against_its_line(monkeypatch):
+    real = generators.value_at
+    monkeypatch.setattr(generators, "value_at", lambda c, x: real(c, x) + (c.cid == "L1_1"))
+    with pytest.raises(RuntimeError, match="P0_1: bounce missed its envelope segment"):
+        gen_grounded_family(1)
+
+
+# sha256 of the file save_family writes, pinned when the generator moved
+# from Fractions to one int grid; the family must not change
+GROUNDED_SHA256 = {
+    (1, None): "232a3c33ed7e691ccbdf26c6e7652defa4a491649f5c46ec182b7475f679d269",
+    (2, None): "dc97b2d9d6606d6c57eea08d05f4dce206d3f703522db94bd68ab0d6d22af1ae",
+    (3, None): "cf28b34a531db8b4257d45b61d114e8208fa71b83547f409d32c9b7a05eb6d59",
+    (4, None): "9751c49968b9716414078ebf02130bee8512c39f21cf59240fc2ad8ec5651a27",
+    (2, F(3, 1000)): "261f394c0794e45bd67e80993020ed0bdd0cfa59456a9fb37fe71d2d9ff24d9f",
+}
+
+
+@pytest.mark.parametrize("k, eps", list(GROUNDED_SHA256), ids=str)
+def test_grounded_family_file_is_pinned(tmp_path, k, eps):
+    path = tmp_path / "fam.txt"
+    save_family(gen_grounded_family(k, eps=eps), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GROUNDED_SHA256[k, eps]
 
 
 def test_random_bipartite_deterministic():

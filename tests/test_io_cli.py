@@ -81,6 +81,15 @@ def test_empty_family_round_trip(tmp_path):
     assert len(load_family(p)) == 0
 
 
+@pytest.mark.parametrize("cid", ["a b", "", "x\ty", "z\n"])
+def test_save_refuses_an_id_that_would_not_load(tmp_path, cid):
+    p = tmp_path / "fam.txt"
+    fam = CurveFamily([PolyChain("ok", [(0, 0), (1, 0)]), PolyChain(cid, [(0, 1), (1, 1)])])
+    with pytest.raises(ValueError, match="curve id"):
+        save_family(fam, p)
+    assert not p.exists()
+
+
 def test_malformed_rational_is_parse_error(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("tanglab-family 1\ncurve a 2\n1/0 0\n1 1\n")
