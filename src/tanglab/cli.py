@@ -382,7 +382,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError) as e:
+    except (FormatError, OSError, UnicodeDecodeError) as e:
+        # unreadable, unwritable or undecodable files are input errors too
         print(str(e), file=sys.stderr)
         return USAGE_ERROR
     except ValueError as e:

@@ -26,9 +26,12 @@ report, and xmono reads that map.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate
+from math import gcd, isqrt, lcm
+from operator import or_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .geom import GeometryError, Point, format_rat
@@ -56,7 +59,7 @@ class PolyChain:
     def __init__(self, cid: str, vertices: Iterable[Point]):
         self.cid = str(cid)
         self.vertices: Tuple[Point, ...] = tuple(
-            Point(Fraction(v[0]), Fraction(v[1])) for v in vertices
+            Point(_rat(v[0]), _rat(v[1])) for v in vertices
         )
         if len(self.vertices) < 2:
             raise ValueError(f"chain {cid}: need at least 2 vertices")
@@ -122,6 +125,10 @@ class PolyChain:
                 if hits and abs(s[8] - t[8]) != 1:
                     return False
         return True
+
+
+def _rat(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)  # skips Fraction's ABC check
 
 
 def _int_segments(vertices: Sequence[Point], scale: int) -> list:
@@ -342,6 +349,51 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
     return [(p, "cross" if proper else classify_contact(c1, c2, p)) for p, proper in pts]
 
 
+def _near_pairs(segment_lists: Sequence[list]) -> List[int]:
+    """Broad phase for `CurveFamily.contacts`: for each chain i, given as
+    its `_int_segments` on one grid, a bitmask of the chains j > i that may
+    meet it.  The x-range is cut into closed buckets with int ends; in each
+    bucket a chain's extent is the hull of its segments' y-ranges there,
+    clipped to the bucket and rounded outward.  A common point lies in a
+    bucket that both chains cover, inside both extents, so a pair left out
+    is disjoint."""
+    n = len(segment_lists)
+    if n < 2:
+        return [0] * n
+    lo = min(s[0] for segs in segment_lists for s in segs)
+    hi = max(s[1] for segs in segment_lists for s in segs)
+    nb = max(1, min(isqrt(n) // 2, hi - lo))
+    ends = [lo + (hi - lo) * k // nb for k in range(nb + 1)]
+    boxes: List[Dict[int, list]] = [{} for _ in range(nb)]  # chain -> [ylo, yhi]
+    for c, segs in enumerate(segment_lists):
+        for minx, maxx, miny, maxy, ax, ay, bx, by, _ in segs:
+            if ax > bx:
+                ax, ay, bx, by = bx, by, ax, ay
+            dx, dy = bx - ax, by - ay
+            for k in range(max(0, bisect_left(ends, minx) - 1), min(nb, bisect_right(ends, maxx))):
+                x0, x1 = max(minx, ends[k]), min(maxx, ends[k + 1])
+                if dx == 0 or (x0 == minx and x1 == maxx):
+                    ylo, yhi = miny, maxy
+                else:
+                    y0, y1 = ay * dx + dy * (x0 - ax), ay * dx + dy * (x1 - ax)
+                    ylo, yhi = min(y0, y1) // dx, -(-max(y0, y1) // dx)
+                box = boxes[k].setdefault(c, [ylo, yhi])
+                box[0], box[1] = min(box[0], ylo), max(box[1], yhi)
+    masks = [0] * n
+    for bucket in boxes:
+        by_lo = sorted(bucket, key=lambda c: bucket[c][0])
+        by_hi = sorted(bucket, key=lambda c: bucket[c][1], reverse=True)
+        los = [bucket[c][0] for c in by_lo]
+        his = [bucket[c][1] for c in reversed(by_hi)]
+        # below[m]: the chains with the m lowest low ends; above[m]: all
+        # but those with the m lowest high ends
+        below = list(accumulate((1 << c for c in by_lo), or_, initial=0))
+        above = list(accumulate((1 << c for c in by_hi), or_, initial=0))[::-1]
+        for c, (ylo, yhi) in bucket.items():
+            masks[c] |= below[bisect_right(los, yhi)] & above[bisect_left(his, ylo)]
+    return [m & -(2 << i) for i, m in enumerate(masks)]
+
+
 # --- families --------------------------------------------------------------
 
 
@@ -394,13 +446,17 @@ class CurveFamily:
     def contacts(self) -> Dict[Tuple[str, str], tuple]:
         """Pairwise contact map {(id_i, id_j): ('ok', [(pt, kind), ...]) or
         ('degenerate', reason)} for i < j in family order.  A pair with no
-        entry is disjoint: it shares no point."""
+        entry is disjoint: it shares no point.  The pair kernel runs only on
+        the pairs that `_near_pairs` keeps; a pair whose bucket extents
+        never overlap gets no kernel call and no entry."""
         if self._contacts is None:
             scale = self.scale
             result: Dict[Tuple[str, str], tuple] = {}
             cs = self.curves
-            for i in range(len(cs)):
-                for j in range(i + 1, len(cs)):
+            near = _near_pairs([c.scaled_segments(scale) for c in cs])
+            for i, mask in enumerate(near):
+                # the set bits of mask, low to high
+                for j in [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]:
                     key = (cs[i].cid, cs[j].cid)
                     try:
                         pts = common_points(cs[i], cs[j], scale)

@@ -304,15 +304,15 @@ def _dense_recount(fam):
     return keys, disj, tang, crossn, all_one
 
 
-def _raw_random_family(seed, n=10):
+def _raw_random_family(seed, n=10, size=6):
     """Unfiltered chains on a small grid: overlaps, multi pairs and triple
     points all occur."""
     rng = random.Random(f"{seed}-raw")
     chains = []
     for i in range(n):
-        verts, k = [(rng.randint(0, 6), rng.randint(0, 6))], rng.randint(2, 4)
+        verts, k = [(rng.randint(0, size), rng.randint(0, size))], rng.randint(2, 4)
         while len(verts) < k:
-            v = (rng.randint(0, 6), rng.randint(0, 6))
+            v = (rng.randint(0, size), rng.randint(0, size))
             if v != verts[-1]:
                 verts.append(v)
         chains.append(PolyChain(f"r{i}", verts))
@@ -330,6 +330,19 @@ def _map_families():
     yield gen_vee_fan(8)
     yield gen_doubling(3)
     yield gen_grounded_family(2)
+    # large enough for several buckets of the contacts broad phase
+    yield gen_vee_fan(40)  # crossings between the int bucket ends
+    yield gen_grounded_family(3)
+    for seed in range(2):
+        yield helpers.random_segment_family(seed, n_max=64)
+        yield _raw_random_family(seed, n=24, size=40)  # not x-monotone
+    # vertical segments on one abscissa, so the x-range is a single point
+    yield CurveFamily(
+        [PolyChain(f"v{i}", [(3, i), (3, i + 3)] if i % 2 else [(3, i + 3), (3, i)]) for i in range(0, 12, 3)]
+        + [PolyChain("w", [(3, 1), (3, 2)])]
+    )
+    yield CurveFamily([])
+    yield CurveFamily([PolyChain("a", [(0, 0), (1, 1)])])
 
 
 def test_contact_map_keys_and_report_match_dense_recount():
@@ -355,6 +368,20 @@ def test_contact_map_keys_and_report_match_dense_recount():
             ) if hit
         )
     assert kinds == {"disjoint", "degenerate", "multi", "triple", "precisely-1"}
+
+
+def test_contacts_scans_few_more_pairs_than_meet(monkeypatch):
+    calls = []
+    original = curves.common_points
+
+    def counting(c1, c2, *args):
+        calls.append(frozenset((c1.cid, c2.cid)))
+        return original(c1, c2, *args)
+
+    monkeypatch.setattr(curves, "common_points", counting)
+    fam = gen_grounded_family(3)
+    assert len(fam.contacts()) == 12_728
+    assert len(calls) == len(set(calls)) <= 1.1 * 12_728
 
 
 # --- properties ------------------------------------------------------------

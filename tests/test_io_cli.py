@@ -229,6 +229,28 @@ def test_cli_missing_required_param(capsys):
     assert run(["generate", "vee-fan", "--out", "/tmp/x.txt"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--in", "{dir}"],
+        ["validate", "--in", "{bad}"],
+        ["count", "--in", "{dir}"],
+        ["count", "--in", "{bad}"],
+        ["graph", "k22", "--in", "{dir}"],
+        ["graph", "k22", "--in", "{bad}"],
+        ["generate", "vee-fan", "--n", "3", "--out", "{dir}"],
+    ],
+)
+def test_cli_unreadable_or_undecodable_file_exit_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    argv = [a.format(dir=tmp_path, bad=bad) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_cli_sparse_check_holds_on_k22_free(tmp_path, capsys):
     g = BipartiteGraph(
         [0, 1, 2], [0, 1, 2], [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)]

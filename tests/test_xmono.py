@@ -365,21 +365,32 @@ def _count_common_points(monkeypatch):
     return calls
 
 
+def _assert_scanned_once(fam, calls):
+    """No pair scanned twice, every pair in the map scanned, and every pair
+    left unscanned disjoint by the Fraction oracle."""
+    assert len(calls) == len(set(calls))
+    scanned = set(calls)
+    assert all(frozenset(key) in scanned for key in fam.contacts())
+    cs = fam.curves
+    for i, ci in enumerate(cs):
+        for cj in cs[i + 1 :]:
+            if frozenset((ci.cid, cj.cid)) not in scanned:
+                assert helpers.common_points_oracle(ci, cj) == []
+
+
 def test_visibility_and_partition_scan_each_pair_once(monkeypatch):
     calls = _count_common_points(monkeypatch)
     span = helpers.random_spanning_family(3)
     fresh = CurveFamily(span.curves, window=span.window, x_monotone=True, bi_infinite=True)
     calls.clear()
     vertical_visibility_pairs(fresh)
-    n = len(fresh)
-    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+    _assert_scanned_once(fresh, calls)
 
     segs = helpers.random_segment_family(2, 12)
     fresh = CurveFamily(segs.curves, x_monotone=True)
     calls.clear()
     trapezoidal_partition(fresh)
-    n = len(fresh)
-    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+    _assert_scanned_once(fresh, calls)
 
 
 def test_cell_stats_long_short():
