@@ -26,7 +26,7 @@ from .bipartite import (
     near_regularize,
     prune_min_degree,
 )
-from .curves import tangency_graph, validate_family
+from .curves import _witness, tangency_graph, validate_family
 from .generators import (
     gen_doubling,
     gen_grounded_family,
@@ -108,6 +108,7 @@ def _cmd_validate(args) -> int:
         crossings=rep.crossing_count,
         disjoint=rep.disjoint_count,
         summary=rep.summary(),
+        **({} if rep.ok else {"witness": _witness(fam, rep)}),
     )
     return 0 if rep.ok else PROPERTY_FAIL
 
@@ -383,8 +384,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (FormatError, OSError, UnicodeDecodeError) as e:
-        # unreadable, unwritable or undecodable files are input errors too
-        print(str(e), file=sys.stderr)
+        # unreadable, unwritable or undecodable files are input errors too, named first
+        print(f"{e.filename}: {e.strerror}" if isinstance(e, OSError) and e.filename else e, file=sys.stderr)
         return USAGE_ERROR
     except ValueError as e:
         # these commands raise ValueError only on input outside the domain

@@ -597,6 +597,20 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     return family._report
 
 
+def _witness(family: CurveFamily, rep: ValidationReport) -> str:
+    """The first witness that a family is not 1-intersecting: a degenerate
+    or multi pair, else a triple point, else a non-simple chain."""
+    for (i, j), (status, data) in family.contacts().items():
+        if status == "degenerate":
+            return data  # the stored message names the pair
+        if len(data) > 1:
+            return f"{i}/{j}: {len(data)} common points; not 1-intersecting"
+    if rep.triple_points:
+        (x, y), owners = rep.triple_points[0]
+        return f"{'/'.join(owners)}: triple point ({format_rat(x)}, {format_rat(y)}); not 1-intersecting"
+    return f"{rep.non_simple[0]}: chain is not simple; not 1-intersecting"
+
+
 @dataclass
 class TangencyEdge:
     c1: str
@@ -644,17 +658,7 @@ def tangency_graph(family: CurveFamily, strict: bool = True) -> TangencyGraph:
     contacts = family.contacts()
     rep = (family._report or validate_family(family)) if strict else None
     if rep is not None and not rep.is_1_intersecting:
-        for (i, j), (status, data) in contacts.items():
-            if status == "degenerate":
-                raise DegeneracyError(data)  # the stored message names the pair
-            if len(data) > 1:
-                raise DegeneracyError(f"{i}/{j}: {len(data)} common points; not 1-intersecting")
-        if rep.triple_points:
-            (x, y), owners = rep.triple_points[0]
-            where = f"{'/'.join(owners)}: triple point ({format_rat(x)}, {format_rat(y)})"
-        else:
-            where = f"{rep.non_simple[0]}: chain is not simple"
-        raise DegeneracyError(f"{where}; not 1-intersecting")
+        raise DegeneracyError(_witness(family, rep))
     edges = []
     for (i, j), (status, data) in contacts.items():
         if status == "degenerate":

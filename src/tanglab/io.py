@@ -23,6 +23,17 @@ class FormatError(ValueError):
         self.path, self.lineno = path, lineno
 
 
+def _read_lines(path) -> List[str]:
+    """The lines of a UTF-8 file; an undecodable byte is a FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        lineno = len((data[:e.start].decode("utf-8") + "x").splitlines())  # the bad byte's line
+        raise FormatError(path, lineno, f"not UTF-8: byte 0x{data[e.start]:02x} ({e.reason})") from None
+
+
 def save_family(family: CurveFamily, path, extra_flags: Sequence[str] = ()) -> None:
     lines = [FAMILY_HEADER]
     if family.window is not None:
@@ -47,13 +58,12 @@ def save_family(family: CurveFamily, path, extra_flags: Sequence[str] = ()) -> N
         lines.append(f"curve {c.cid} {len(c.vertices)}")
         for v in c.vertices:
             lines.append(f"{format_rat(v.x)} {format_rat(v.y)}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_family(path) -> CurveFamily:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
     if not raw or raw[0].strip() != FAMILY_HEADER:
         raise FormatError(path, 1, f"expected header {FAMILY_HEADER!r}")
     window = ground = None
@@ -148,14 +158,13 @@ def save_graph(g: BipartiteGraph, path) -> None:
     bi = {b: i for i, b in enumerate(g.b_ids)}
     lines = [f"A {len(g.a_ids)} B {len(g.b_ids)}"]
     lines += [f"{a} {b}" for a, b in sorted((ai[a], bi[b]) for a, b in g.edges())]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_graph(path) -> BipartiteGraph:
-    with open(path) as fh:
-        numbered = enumerate((l.strip() for l in fh.read().splitlines()), start=1)
-        raw = [(lineno, l) for lineno, l in numbered if l and not l.startswith("#")]
+    numbered = enumerate((l.strip() for l in _read_lines(path)), start=1)
+    raw = [(lineno, l) for lineno, l in numbered if l and not l.startswith("#")]
     if not raw:
         raise FormatError(path, 1, "empty graph file")
     head_lineno, head = raw[0][0], raw[0][1].split()

@@ -11,7 +11,14 @@ slab between consecutive events, so the vertical order changes only at an
 event point, among the chains through it: the sweep updates the order
 locally at each event point instead of sorting every slab, and walls only
 the gaps next to those chains.  Point location bisects a slab's order.
-All comparisons are exact, on ints of the family's scaled grid.
+
+All comparisons are exact, on ints of the family's scaled grid, with no
+float and no true division.  An event point is keyed by its int triple
+(X, Y, W), and events are sorted by cross-multiplication: x first (X1*W2
+against X2*W1), then y.  Abscissa searches, the chains leaving a point (by
+slope) and the cuts of `cell_stats` are ordered the same way.  No Fraction
+is built for an event: `xs`, `events_by_x` and the cell bounds reuse the
+event points' own Fractions, and every search reads the int abscissas.
 """
 
 from __future__ import annotations
@@ -20,11 +27,11 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
-from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from .curves import CurveFamily, DegeneracyError, PolyChain, _pair_points_int, common_points, validate_family
+from .curves import CurveFamily, DegeneracyError, PolyChain, _pair_points_int, _rat, common_points, validate_family
 from .geom import Point
 
 
@@ -60,32 +67,24 @@ def _require_x_monotone(family: CurveFamily) -> None:
 
 def _grid(p, scale: int) -> Tuple[int, int, int]:
     """Point p on the grid scaled by `scale`, as int homogeneous coordinates
-    (X, Y, W) with W > 0."""
-    x, y = Fraction(p[0]), Fraction(p[1])
+    (X, Y, W) with W > 0, one triple per point."""
+    x, y = _rat(p[0]), _rat(p[1])
     w = lcm(x.denominator, y.denominator)
     return x.numerator * scale * (w // x.denominator), y.numerator * scale * (w // y.denominator), w
 
 
-_MINX = itemgetter(0)
+# exact orders: abscissas (X, W, ...) with W > 0, grid points by x then y, int segments by slope
+_BY_X = cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1])
+_BY_XY = cmp_to_key(lambda s, t: (s[0] * t[2] - t[0] * s[2]) or (s[1] * t[2] - t[1] * s[2]))
+_BY_SLOPE = cmp_to_key(lambda s, t: (s[7] - s[5]) * (t[6] - t[4]) - (t[7] - t[5]) * (s[6] - s[4]))
 
 
-def _edge(c: PolyChain, scale: int, X: int, W: int) -> tuple:
-    """c's int segment (`scaled_segments`) leaving abscissa X/W, or its last
-    one when X/W is c's right end."""
-    segs = c.scaled_segments(scale)
-    return segs[bisect_right(segs, X // W, key=_MINX) - 1]
-
-
-def _side(c: PolyChain, scale: int, X: int, Y: int, W: int) -> int:
-    """Positive when the grid point (X/W, Y/W) lies above chain c, zero on
-    it, negative below; X/W must lie in c's span."""
-    _, _, _, _, ax, ay, bx, by, _ = _edge(c, scale, X, W)
+def _side(g: tuple, X: int, Y: int, W: int) -> int:
+    """Positive when the grid point (X/W, Y/W) lies above the chain whose int
+    segments and their minxs are g, zero on it, negative below; X/W must lie
+    in the chain's span.  Reads the segment leaving X/W."""
+    _, _, _, _, ax, ay, bx, by, _ = g[0][bisect_right(g[1], X // W) - 1]
     return (bx - ax) * (Y - ay * W) - (by - ay) * (X - ax * W)
-
-
-def _slope(seg: tuple) -> Fraction:
-    """Exact slope of an int segment of `_int_segments`."""
-    return Fraction(seg[7] - seg[5], seg[6] - seg[4])
 
 
 @dataclass
@@ -98,17 +97,19 @@ class Trapezoid:
 
 
 def _sweep(family: CurveFamily):
-    """(events_by_x, xs, slabs, cells) of an x-monotone family.
+    """(events_by_x, xs, slabs, cells, xw, geo) of an x-monotone family.
 
     events_by_x maps each event abscissa to the sorted ys of the event points
     there (chain endpoints and pairwise common points); xs are its keys in
-    order.  The chains through an event point p form one block of the
-    vertical order just left of p.  At each p, in order, the sweep finds that
-    block by bisection at p, drops the chains ending at p, adds those
-    starting there, and sorts the block by outgoing slope: a crossing pair
-    swaps and a touching pair keeps its order.  The rest of the order is left
-    as it is; there is no sort at slab midpoints.  The gaps next to the block
-    are walled: each closes its cell, and the new block's gaps open new ones.
+    order, and xw the same abscissas as int pairs (X, W) on the family's
+    grid; geo maps each chain to its int segments and their minxs.  The
+    chains through an event point p form one block of the vertical order
+    just left of p.  At each p, in order, the sweep finds that block by
+    bisection at p, drops the chains ending at p, adds those starting there,
+    and sorts the block by outgoing slope: a crossing pair swaps and a
+    touching pair keeps its order.  The rest of the order is left as it is;
+    there is no sort at slab midpoints.  The gaps next to the block are
+    walled: each closes its cell, and the new block's gaps open new ones.
 
     slabs yields, left to right and only as far as it is read, (order, gaps)
     for the open slab right of each xs[j]: its chains from bottom to top, and
@@ -120,43 +121,50 @@ def _sweep(family: CurveFamily):
     on a degenerate pair."""
     _require_x_monotone(family)
     scale = family.scale
-    through: Dict[Point, Set[PolyChain]] = {}
-    for c in family.curves:
-        through.setdefault(c.start, set()).add(c)
-        through.setdefault(c.end, set()).add(c)
+    geo = {c: c.scaled_segments(scale) for c in family.curves}
+    geo = {c: (segs, [s[0] for s in segs]) for c, segs in geo.items()}
+    points = [(e, (c,)) for c in family.curves for e in (c.start, c.end)]
     for (a, b), (status, data) in family.contacts().items():
         if status == "degenerate":
             raise DegeneracyError(data)
-        for p, _ in data:
-            through.setdefault(p, set()).update((family.curve(a), family.curve(b)))
+        points += [(p, (family.curve(a), family.curve(b))) for p, _ in data]
+    through: Dict[Tuple[int, int, int], tuple] = {}  # grid key -> (point, chains through it)
+    for p, chains in points:
+        through.setdefault(_grid(p, scale), (p, set()))[1].update(chains)
     events_by_x: Dict[Fraction, List[Fraction]] = {}
-    for p in sorted(through):
-        events_by_x.setdefault(p.x, []).append(p.y)
+    xw: List[Tuple[int, int]] = []
+    groups: List[list] = []  # per abscissa: (key, chains through it) of its event points
+    for key in sorted(through, key=_BY_XY):
+        p, on = through[key]
+        if not xw or xw[-1][0] * key[2] != key[0] * xw[-1][1]:
+            xw.append((key[0], key[2]))
+            ys = events_by_x[p.x] = []
+            groups.append([])
+        ys.append(p.y)
+        groups[-1].append((key, on))
     xs = list(events_by_x)
     cells = [Trapezoid(0, None, None, None, None)]
 
     def slabs():
         order: List[PolyChain] = []
         gaps = [0]
-        for x in xs:
+        for x, group in zip(xs, groups):
             new: List[PolyChain] = []
             new_gaps: List[Optional[int]] = []
             opened = []  # indices of the new gaps that open a cell
             top = -1  # gap of `order` above the previous block
-            for y in events_by_x[x]:
-                X, Y, W = _grid((x, y), scale)
-                on = through[Point(x, y)]
-                lo = bisect_left(order, 0, max(top, 0), key=lambda c: -_side(c, scale, X, Y, W))
+            for (X, Y, W), on in group:
+                lo = bisect_left(order, 0, max(top, 0), key=lambda c: -_side(geo[c], X, Y, W))
                 if lo > top:
                     new += order[max(top, 0):lo]
                     new_gaps += gaps[top + 1:lo]
                     opened.append(len(new_gaps))
                     new_gaps.append(None)
-                top = lo + sum(c.start.x < x for c in on)
+                top = lo + sum(geo[c][0][0][4] * W < X for c in on)  # chains starting left of p
                 for g in gaps[lo:top + 1]:
                     cells[g].x_hi = x
-                leaving = [c for c in on if c.end.x > x]
-                for c in sorted(leaving, key=lambda c: _slope(_edge(c, scale, X, W))):
+                leaving = [c for c in on if geo[c][0][-1][6] * W > X]  # by the slope of the segment leaving p
+                for c in sorted(leaving, key=lambda c: _BY_SLOPE(geo[c][0][bisect_right(geo[c][1], X // W) - 1])):
                     new.append(c)
                     opened.append(len(new_gaps))
                     new_gaps.append(None)
@@ -170,7 +178,7 @@ def _sweep(family: CurveFamily):
             order, gaps = new, new_gaps
             yield order, gaps
 
-    return events_by_x, xs, slabs(), cells
+    return events_by_x, xs, slabs(), cells, xw, geo
 
 
 def starts_below(c1: PolyChain, c2: PolyChain) -> bool:
@@ -210,28 +218,36 @@ def lower_envelope(family: CurveFamily) -> List[EnvelopePiece]:
     chains = family.curves
     if not chains:
         return []
+    scale = family.scale
+
+    def at(x: Fraction):  # exact sort key of abscissa x, comparable with the sweep's
+        return _BY_X((x.numerator * scale, x.denominator))
+
     if family.window is not None:
         lo, hi = family.window
     else:
-        lo = max(c.start.x for c in chains)
-        hi = min(c.end.x for c in chains)
-    if lo >= hi:
+        lo = max((c.start.x for c in chains), key=at)
+        hi = min((c.end.x for c in chains), key=at)
+    LO, HI = at(lo), at(hi)
+    if not LO < HI:
         raise ValueError("chains share no open x-interval")
-    _, xs, slabs, _ = _sweep(family)
+    _, xs, slabs, _, xw, _ = _sweep(family)
     for c in chains:
-        if not (c.start.x <= lo and hi <= c.end.x):
+        if LO < at(c.start.x) or at(c.end.x) < HI:
             raise ValueError(f"{c.cid} does not span the window [{lo}, {hi}]")
+    keys = [_BY_X(t) for t in xw]
     pieces: List[EnvelopePiece] = []
-    for a, b, (order, _) in zip(xs, xs[1:], slabs):
-        if a >= hi:
+    for a, A, b, B, (order, _) in zip(xs, keys, xs[1:], keys[1:], slabs):
+        if not A < HI:
             break
-        if b <= lo:
+        if not LO < B:
             continue
         cid = order[0].cid
+        b = b if B < HI else hi
         if pieces and pieces[-1].cid == cid:
-            pieces[-1].hi = min(b, hi)
+            pieces[-1].hi = b
         else:
-            pieces.append(EnvelopePiece(max(a, lo), min(b, hi), cid))
+            pieces.append(EnvelopePiece(a if LO < A else lo, b, cid))
     return pieces
 
 
@@ -239,7 +255,7 @@ def vertical_visibility_pairs(family: CurveFamily) -> Set[Tuple[str, str]]:
     """Disjoint pairs that are vertically adjacent in some slab: a pair
     becomes adjacent only where a gap opens between them, so these are the
     floor and ceiling of some cell of the sweep."""
-    _, _, slabs, cells = _sweep(family)
+    _, _, slabs, cells, _, _ = _sweep(family)
     for _ in slabs:
         pass
     contacts = family.contacts()  # a disjoint pair has no entry
@@ -261,12 +277,13 @@ class Partition:
     point until the first curve hit; cells tile the plane.
 
     slab_curves[j] and slab_cells[j] are the sweep's order and gap cells in
-    slab j, which spans (xs[j-1], xs[j]); the outermost slabs are unbounded."""
+    slab j, which spans (xs[j-1], xs[j]); the outermost slabs are unbounded.
+    Point location reads the sweep's int abscissas and chain segments."""
 
     def __init__(self, defining: CurveFamily):
         self.defining = defining
         self.defining_ids = list(defining.ids)
-        self.events_by_x, self.xs, slabs, self.cells = _sweep(defining)
+        self.events_by_x, self.xs, slabs, self.cells, self._xw, self._geo = _sweep(defining)
         self.slab_curves: List[List[PolyChain]] = [[]]
         self.slab_cells: List[List[int]] = [[0]]
         for order, gaps in slabs:
@@ -280,26 +297,25 @@ class Partition:
     def _strip_of(self, slab: int, X: int, Y: int, W: int) -> Optional[int]:
         """Gap of the slab's order holding the grid point (X/W, Y/W), or None
         when it lies on a slab curve."""
-        order, scale = self.slab_curves[slab], self.defining.scale
-        k = bisect_left(order, 0, key=lambda c: -_side(c, scale, X, Y, W))
-        if k < len(order) and _side(order[k], scale, X, Y, W) == 0:
+        order, geo = self.slab_curves[slab], self._geo
+        k = bisect_left(order, 0, key=lambda c: -_side(geo[c], X, Y, W))
+        if k < len(order) and _side(geo[order[k]], X, Y, W) == 0:
             return None
         return k
 
     def locate(self, p: Point) -> Optional[int]:
         """Cell whose open interior contains p, or None when p lies on a cell
         boundary (a curve or a wall)."""
-        xs = self.xs
-        if not xs:
+        xw = self._xw
+        if not xw:
             return 0
-        x = Fraction(p[0])
         X, Y, W = _grid(p, self.defining.scale)
-        i = bisect_left(xs, x)
+        i = bisect_left(xw, _BY_X((X, W)), key=_BY_X)
         k = self._strip_of(i, X, Y, W)
         if k is None:
             return None
         cell = self.slab_cells[i][k]
-        if i < len(xs) and xs[i] == x:
+        if i < len(xw) and xw[i][0] * W == X * xw[i][1]:
             kr = self._strip_of(i + 1, X, Y, W)
             if kr is None or self.slab_cells[i + 1][kr] != cell:
                 return None  # p sits on a curve or a wall
@@ -343,8 +359,7 @@ def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
     defining = partition.defining
     scale = lcm(defining.scale, family.scale)
     up = scale // defining.scale  # (X, Y, W) on this grid is (X, Y, W * up) on the partition's
-    xs = partition.xs
-    events = [(x.numerator * scale, x.denominator, True) for x in xs]  # (X, W, is an event): abscissa X/W
+    events = [(X * up, W, True) for X, W in partition._xw]  # (X, W, is an event): abscissa X/W
     own = set(defining.curves)
     meets: Dict[int, Set[str]] = {}
     short: Dict[int, Set[str]] = {}
@@ -365,10 +380,10 @@ def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
                 raise DegeneracyError(f"{c.cid}/{d.cid}: {e}") from None
             cuts.update((x, w) for (x, _, w), _ in hits if lo * w < x < hi * w)
         # breakpoints in order, events and contacts merged
-        i = slab = bisect_right(xs, c.start.x)
-        j = bisect_left(xs, c.end.x)
+        i = slab = bisect_right(events, _BY_X((lo, 1)), key=_BY_X)
+        j = bisect_left(events, _BY_X((hi, 1)), key=_BY_X)
         bps = [(lo, 1, False)]
-        for x, w in sorted(cuts, key=lambda t: Fraction(*t)):
+        for x, w in sorted(cuts, key=_BY_X):
             while i < j and events[i][0] * w < x * events[i][1]:
                 bps.append(events[i])
                 i += 1
@@ -433,7 +448,6 @@ def cutting_search(
     size = min(n, int(-(-a * r // 1)))  # ceil(a*r)
     rng = random.Random(seed)
     budget_cells = c_max * r * r
-    load_limit = Fraction(n, r)
     best = (None, None)
     for t in range(tries):
         ids = sorted(rng.sample(family.ids, size))
@@ -442,7 +456,7 @@ def cutting_search(
         max_load = max((s.total for s in stats), default=0)
         if best[0] is None or (part.cell_count, max_load) < best:
             best = (part.cell_count, max_load)
-        if part.cell_count <= budget_cells and all(s.total <= load_limit for s in stats):
+        if part.cell_count <= budget_cells and all(s.total * r <= n for s in stats):  # loads <= n/r
             return ids, part, stats
     return CuttingFailure(
         tries=tries,

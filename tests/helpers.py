@@ -604,6 +604,76 @@ def slab_orders_oracle(family):
     return xs, orders
 
 
+def sweep_reference(family):
+    """(events_by_x, xs, slabs, cells) of the sweep with Fraction event keys:
+    event points are `Point`s, hashed and sorted as Fractions, and chains
+    leaving a point are ordered by Fraction slopes.  slabs lists each open
+    slab's (chain ids, gap cells); cells are `xmono.Trapezoid`s.  The int
+    sweep (`xmono._sweep`) must give the same values."""
+    from bisect import bisect_left, bisect_right
+    from math import lcm
+
+    from tanglab.xmono import Trapezoid
+
+    scale = family.scale
+
+    def edge(c, X, W):
+        segs = c.scaled_segments(scale)
+        return segs[bisect_right(segs, X // W, key=lambda s: s[0]) - 1]
+
+    def slope(seg):
+        return F(seg[7] - seg[5], seg[6] - seg[4])
+
+    def side(c, X, Y, W):
+        _, _, _, _, ax, ay, bx, by, _ = edge(c, X, W)
+        return (bx - ax) * (Y - ay * W) - (by - ay) * (X - ax * W)
+
+    through = {}
+    for c in family.curves:
+        through.setdefault(c.start, set()).add(c)
+        through.setdefault(c.end, set()).add(c)
+    for (a, b), (status, data) in family.contacts().items():
+        assert status == "ok", data
+        for p, _ in data:
+            through.setdefault(p, set()).update((family.curve(a), family.curve(b)))
+    events_by_x = {}
+    for p in sorted(through):
+        events_by_x.setdefault(p.x, []).append(p.y)
+    xs = list(events_by_x)
+    cells = [Trapezoid(0, None, None, None, None)]
+    order, gaps, slabs = [], [0], []
+    for x in xs:
+        new, new_gaps, opened, top = [], [], [], -1
+        for y in events_by_x[x]:
+            w = lcm(x.denominator, y.denominator)
+            X, Y, W = x.numerator * scale * (w // x.denominator), y.numerator * scale * (w // y.denominator), w
+            on = through[Point(x, y)]
+            lo = bisect_left(order, 0, max(top, 0), key=lambda c: -side(c, X, Y, W))
+            if lo > top:
+                new += order[max(top, 0):lo]
+                new_gaps += gaps[top + 1:lo]
+                opened.append(len(new_gaps))
+                new_gaps.append(None)
+            top = lo + sum(c.start.x < x for c in on)
+            for g in gaps[lo:top + 1]:
+                cells[g].x_hi = x
+            leaving = [c for c in on if c.end.x > x]
+            for c in sorted(leaving, key=lambda c: slope(edge(c, X, W))):
+                new.append(c)
+                opened.append(len(new_gaps))
+                new_gaps.append(None)
+        new += order[top:]
+        new_gaps += gaps[top + 1:]
+        for k in opened:
+            new_gaps[k] = len(cells)
+            below = new[k - 1].cid if k else None
+            above = new[k].cid if k < len(new) else None
+            cells.append(Trapezoid(len(cells), x, None, below, above))
+        order, gaps = new, new_gaps
+        slabs.append(([c.cid for c in order], gaps))
+    return events_by_x, xs, slabs, cells
+
+
 def locate_oracle(partition, p):
     """Cells whose open interior holds p, by a scan of every cell: p lies
     strictly between the cell's walls and strictly between its floor and

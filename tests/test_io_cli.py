@@ -249,6 +249,45 @@ def test_cli_unreadable_or_undecodable_file_exit_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+    path = argv[-1]  # the file after --in or --out
+    assert captured.err.startswith(f"{path}:1: not UTF-8: byte 0xff" if path == str(bad) else f"{path}: ")
+
+
+@pytest.mark.parametrize("loader", [load_family, load_graph])
+def test_undecodable_byte_names_its_line(tmp_path, loader):
+    p = tmp_path / "f.txt"
+    head = "tanglab-family 1\r\n# α\r\n" if loader is load_family else "A 1 B 1\r\n# α\r\n"
+    p.write_bytes(head.encode("utf-8") + b"0 \xfe0\n")
+    with pytest.raises(FormatError, match=r":3: not UTF-8: byte 0xfe"):
+        loader(p)
+
+
+def test_io_round_trips_utf8_in_an_ascii_locale(tmp_path):
+    """Files are UTF-8 whatever the locale: a child in the C locale, with
+    UTF-8 mode and locale coercion off, saves and loads a family and a graph
+    with non-ASCII text, and reads a UTF-8 family written here."""
+    written = tmp_path / "written.txt"
+    save_family(CurveFamily([PolyChain("β2", [(0, 0), (2, 1)])]), written)
+    # the child's source is ASCII: the C locale cannot decode a non-ASCII command line
+    a1, g, ae, oe = map(ascii, ("α1", "γ", "ä", "ö"))
+    code = f"""
+import locale
+from tanglab import BipartiteGraph, CurveFamily, PolyChain, load_family, load_graph, save_family, save_graph
+assert locale.getpreferredencoding(False).lower() not in ("utf-8", "utf8")
+save_family(CurveFamily([PolyChain({a1}, [(0, 0), (1, 1)]), PolyChain({g}, [(0, 1), (1, 0)])]), "fam.txt")
+assert load_family("fam.txt").ids == [{a1}, {g}]
+save_graph(BipartiteGraph([{ae}], [{oe}], [({ae}, {oe})]), "g.txt")
+assert load_graph("g.txt").n_edges == 1
+assert load_family({ascii(str(written))}).ids == [{ascii("β2")}]
+"""
+    src = str(Path(tanglab.__file__).parents[1])
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONIOENCODING": "ascii"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "fam.txt").read_bytes().decode("utf-8").splitlines()[1] == "curve α1 2"
 
 
 def test_cli_sparse_check_holds_on_k22_free(tmp_path, capsys):
@@ -273,6 +312,16 @@ def test_cli_validate_failure_exit_1(tmp_path, capsys):
     p = str(tmp_path / "f.txt")
     save_family(fam, p)
     assert run(["validate", "--in", p]) == 1
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert run(["count", "--in", p]) == 1
+    assert witness == capsys.readouterr().err.strip() == "a/b: 4 common points; not 1-intersecting"
+
+
+def test_cli_validate_names_no_witness_on_a_passing_family(tmp_path, capsys):
+    p = str(tmp_path / "f.txt")
+    save_family(gen_vee_fan(4), p)
+    assert run(["validate", "--in", p]) == 0
+    assert "witness" not in json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize(
@@ -286,13 +335,21 @@ def test_cli_validate_failure_exit_1(tmp_path, capsys):
             [[(0, 0), (2, 2), (2, 0), (0, 2)], [(3, 0), (4, 1), (5, 0)], [(3, 2), (4, 1), (5, 2)]],
             "c0: chain is not simple; not 1-intersecting",
         ),
+        (
+            [[(0, 0), (2, 0)], [(1, 0), (3, 0)], [(0, 1), (2, -1)]],
+            "c0/c1: collinear overlap of positive length",
+        ),
+        (
+            [[(0, 0), (4, 0)], [(0, 1), (1, -1), (2, 1)], [(0, 5), (1, 6)]],
+            "c0/c1: 2 common points; not 1-intersecting",
+        ),
     ],
 )
 def test_cli_count_refuses_a_family_that_is_not_1_intersecting(tmp_path, capsys, curves, message):
     p = str(tmp_path / "f.txt")
     save_family(CurveFamily([PolyChain(f"c{i}", vs) for i, vs in enumerate(curves)]), p)
     assert run(["validate", "--in", p]) == 1
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["witness"] == message
     assert run(["count", "--in", p]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.strip() == message

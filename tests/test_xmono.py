@@ -186,6 +186,63 @@ def _hand_families():
     ]
 
 
+def _adversarial_families():
+    """Event orders that a float key would get wrong, or that an int key
+    would split: one abscissa reached through different denominators, a
+    touch and a crossing on one vertical line, chains starting on chains,
+    and coordinates near 10^400 and 10^-400."""
+    big, t = 10**400, F(1, 10**400)
+    return [
+        # a and b cross at (1/3, 1/7), keyed with W = 21; c has a vertex at
+        # (1/3, 2) and d ends at (1/3, -1), keyed with W = 3
+        CurveFamily(
+            [
+                chain("a", (0, 0), (F(2, 3), F(2, 7))),
+                chain("b", (0, F(2, 7)), (F(2, 3), 0)),
+                chain("c", (0, 3), (F(1, 3), 2), (1, 3)),
+                chain("d", (-1, -1), (F(1, 3), -1)),
+            ]
+        ),
+        # v touches a at (2, 0) while p and q cross at (2, 4)
+        CurveFamily(
+            [
+                chain("a", (0, 0), (4, 0)),
+                chain("v", (0, 2), (2, 0), (4, 2)),
+                chain("p", (0, 5), (4, 3)),
+                chain("q", (0, 3), (4, 5)),
+            ]
+        ),
+        # b starts inside a, c starts at a's vertex and e at b's end
+        CurveFamily(
+            [
+                chain("a", (0, 0), (2, 1), (4, 0)),
+                chain("b", (1, F(1, 2)), (3, 2)),
+                chain("c", (2, 1), (3, -1), (5, 0)),
+                chain("e", (3, 2), (4, 1)),
+            ]
+        ),
+        # abscissas beyond float range that differ by thirds, and ordinates
+        # that all round to 0.0
+        CurveFamily(
+            [
+                chain("a", (big, 0), (big + 2, 2 * t)),
+                chain("b", (big, 2 * t), (big + 2, 0)),
+                chain("c", (big + 1, 3 * t), (big + F(7, 3), -t)),
+                chain("d", (big + F(1, 3), -5 * t), (big + F(2, 3), 5 * t), (big + 3, 4 * t)),
+            ]
+        ),
+        # abscissas 10^-400 apart, which float would tie
+        CurveFamily(
+            [
+                chain("a", (0, 0), (2 * t, 2)),
+                chain("b", (0, 2), (2 * t, 0)),
+                chain("c", (t, 5), (3 * t, -1)),
+                chain("d", (F(t, 3), -3), (F(5 * t, 3), 7)),
+            ]
+        ),
+    ]
+
+
 def _sweep_families():
     fams = [helpers.random_segment_family(s, 16) for s in range(6)]
     fams += [helpers.random_spanning_family(s, 12) for s in range(6)]
@@ -194,10 +251,45 @@ def _sweep_families():
 
 def test_sweep_matches_midpoint_sort_oracle():
     for fam in _sweep_families():
-        _, xs, slabs, _ = xmono._sweep(fam)
+        _, xs, slabs, *_ = xmono._sweep(fam)
         orders = [[c.cid for c in order] for order, _ in slabs]
         assert orders[-1] == []  # right of every event
         assert (xs, orders[:-1]) == helpers.slab_orders_oracle(fam)
+
+
+def test_int_sweep_matches_the_fraction_reference():
+    fams = [helpers.random_segment_family(s, 16) for s in range(4)]
+    fams += [helpers.random_spanning_family(s, 12) for s in range(8)]
+    fams += [gen_vee_fan(8), gen_doubling(3), gen_grounded_family(2)]
+    fams += _hand_families() + _adversarial_families()
+    for fam in fams:
+        events_by_x, xs, slabs, cells, _, _ = xmono._sweep(fam)
+        got = [([c.cid for c in order], gaps) for order, gaps in slabs]
+        assert (events_by_x, xs, got, cells) == helpers.sweep_reference(fam)
+        assert all(type(v) is F for x in xs for v in (x, *events_by_x[x]))
+
+
+def test_xmono_layer_makes_no_fraction_comparisons(monkeypatch):
+    """Envelope, visibility, partition, point location and cell_stats order
+    events on ints: once the contact maps and reports are cached, they make
+    at most 4 Fraction order comparisons per chain (a sweep keyed by Fraction
+    points makes about 10^5 on a 56-chain family)."""
+    fam = helpers.random_spanning_family(49, 56)
+    sub = fam.subfamily(fam.ids[::4])
+    for f in (fam, sub):
+        validate_family(f)
+    calls = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(F, name, lambda a, b, cmp=getattr(F, name): calls.append(1) or cmp(a, b))
+    lower_envelope(fam)
+    vertical_visibility_pairs(fam)
+    part = xmono.Partition(sub)
+    for x in part.xs:
+        for y in part.events_by_x[x]:
+            assert part.locate(pt(x, y)) is None
+    cell_stats(part, fam)
+    monkeypatch.undo()
+    assert len(fam) == 55 and len(calls) <= 4 * len(fam)
 
 
 def test_envelope_evaluates_chains_near_each_event_point_only(monkeypatch):
@@ -258,7 +350,7 @@ def _probe_points(part, rng):
 def test_locate_matches_linear_scan_oracle():
     rng = random.Random(7)
     fams = [helpers.random_segment_family(s, 16) for s in range(4)]
-    fams += [helpers.random_spanning_family(0, 8), gen_vee_fan(5)] + _hand_families()
+    fams += [helpers.random_spanning_family(0, 8), gen_vee_fan(5)] + _hand_families() + _adversarial_families()
     for fam in fams:
         part = trapezoidal_partition(fam)
         for p in _probe_points(part, rng):
