@@ -29,7 +29,6 @@ from .curves import (
     ValidationReport,
     classify_contact,
     common_points,
-    subchain,
     tangency_graph,
     tangency_type,
     validate_family,

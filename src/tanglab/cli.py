@@ -9,6 +9,7 @@ command is deterministic given its arguments (including --seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,11 +36,20 @@ from .generators import (
     gen_vee_fan,
 )
 from .geom import format_rat, rat
-from .io import FormatError, load_family, load_graph, save_family, save_graph
+from .io import FormatError, load_family, load_graph, load_lists, save_family, save_graph, save_lines
 from .xmono import cutting_search, lower_envelope, trapezoidal_partition, vertical_visibility_pairs
 
 PROPERTY_FAIL = 1
 USAGE_ERROR = 2
+
+# generate's curve-family kinds, which scaling-report sweeps too: name -> (size
+# flag, flag that load_family re-checks, generator).  The lambdas look each
+# generator up when called, so a wrapper set on this module's name is used.
+FAMILIES = {
+    "vee-fan": ("n", "precisely_1", lambda n, eps=None: gen_vee_fan(n)),
+    "doubling": ("k", "one_intersecting", lambda k, eps=None: gen_doubling(k)),
+    "grounded": ("k", "one_intersecting", lambda k, eps=None: gen_grounded_family(k, eps=eps)),
+}
 
 
 def _emit(args, **payload):
@@ -59,18 +69,12 @@ def _rat_arg(text):
 
 def _cmd_generate(args) -> int:
     kind = args.kind
-    if kind == "vee-fan":
-        fam = gen_vee_fan(args.n)
-        save_family(fam, args.out, extra_flags=["precisely_1"])
-        _emit(args, kind=kind, n=len(fam), out=args.out)
-    elif kind == "doubling":
-        fam = gen_doubling(args.k)
-        save_family(fam, args.out, extra_flags=["one_intersecting"])
-        _emit(args, kind=kind, k=args.k, n=len(fam), out=args.out)
-    elif kind == "grounded":
-        fam = gen_grounded_family(args.k, eps=args.eps)
-        save_family(fam, args.out, extra_flags=["one_intersecting"])
-        _emit(args, kind=kind, k=args.k, n=len(fam), out=args.out)
+    if kind in FAMILIES:
+        size, flag, gen = FAMILIES[kind]
+        fam = gen(getattr(args, size), getattr(args, "eps", None))
+        save_family(fam, args.out, extra_flags=[flag])
+        # vee-fan's size flag is n itself, so its summary holds n once
+        _emit(args, kind=kind, **{size: getattr(args, size), "n": len(fam)}, out=args.out)
     elif kind == "incidence-grid":
         inst = gen_incidence_grid(args.k)
         pt_index = {p: i for i, p in enumerate(inst.points)}
@@ -86,7 +90,7 @@ def _cmd_generate(args) -> int:
             incidences=len(edges),
             out=args.out,
         )
-    elif kind == "random-graph":
+    else:  # random-graph
         g = gen_random_bipartite(args.n, args.c, seed=args.seed)
         save_graph(g, args.out)
         _emit(args, kind=kind, n=args.n, c=format_rat(args.c), edges=g.n_edges, out=args.out)
@@ -186,8 +190,7 @@ def _cmd_partition(args) -> int:
 def _cmd_graph(args) -> int:
     sub = args.graph_cmd
     if sub == "reverse-check":
-        with open(args.infile) as fh:
-            lists = [line.split() for line in fh if line.strip()]
+        lists = load_lists(args.infile)
         witness = intersection_reverse_check(lists)
         if witness is None:
             _emit(args, lists=len(lists), verdict="intersection-reverse")
@@ -243,34 +246,26 @@ def _cmd_graph(args) -> int:
             sampled_pairs=rep.sampled_pairs,
         )
         return 0
-    if sub == "hplus":
-        h = h_plus(g)
-        save_graph(h, args.out)
-        _emit(args, vertices=h.n_vertices, edges=h.n_edges, out=args.out)
-        return 0
-    raise AssertionError(sub)
+    h = h_plus(g)  # hplus, the one subcommand left
+    save_graph(h, args.out)
+    _emit(args, vertices=h.n_vertices, edges=h.n_edges, out=args.out)
+    return 0
 
 
 def _cmd_scaling_report(args) -> int:
+    gen = FAMILIES[args.family][2]
     rows = []
     for v in args.values:
-        if args.family == "vee-fan":
-            fam = gen_vee_fan(v)
-        elif args.family == "doubling":
-            fam = gen_doubling(v)
-        else:
-            fam = gen_grounded_family(v)
+        fam = gen(v)
         n = len(fam)
         t = tangency_graph(fam).edge_count
         rows.append((n, t, t / n ** (4 / 3), t / n ** 1.5))
     lines = ["# invocation: " + " ".join(args._invocation), "n,t,t_over_n43,t_over_n32"]
     lines += [f"{n},{t},{a!r},{b!r}" for n, t, a, b in rows]
-    text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        save_lines(lines, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -284,18 +279,23 @@ def _int_list(text) -> List[int]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tanglab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a generated family or graph to a file")
-    g.add_argument("kind", choices=["vee-fan", "doubling", "grounded", "incidence-grid", "random-graph"])
-    g.add_argument("--n", type=int, help="size parameter (vee-fan, random-graph)")
-    g.add_argument("--k", type=int, help="size parameter (doubling, grounded, incidence-grid)")
-    g.add_argument("--c", type=_rat_arg, help="density exponent in (1,2) for random-graph")
-    g.add_argument("--eps", type=_rat_arg, help="column width override for grounded")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
+    kinds = g.add_subparsers(dest="kind", required=True)
+    for kind, (size, _, _) in FAMILIES.items():
+        kinds.add_parser(kind).add_argument(f"--{size}", type=int, required=True)
+    kinds.choices["grounded"].add_argument("--eps", type=_rat_arg, help="column width override")
+    kinds.add_parser("incidence-grid").add_argument("--k", type=int, required=True)
+    q = kinds.add_parser("random-graph")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--c", type=_rat_arg, required=True, help="density exponent in (1,2)")
+    for q in kinds.choices.values():
+        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
     for name, func in (
@@ -319,42 +319,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     gr = sub.add_parser("graph", help="bipartite-graph operations")
     gsub = gr.add_subparsers(dest="graph_cmd", required=True)
-
-    q = gsub.add_parser("regularize")
-    q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--out", required=True)
-    q = gsub.add_parser("prune")
-    q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--t", type=_rat_arg, required=True)
-    q.add_argument("--out", required=True)
-    q = gsub.add_parser("k22")
-    q.add_argument("--in", dest="infile", required=True)
-    q = gsub.add_parser("sparse-check")
-    q.add_argument("--in", dest="infile", required=True)
+    names = ("regularize", "prune", "k22", "sparse-check", "bad4", "hplus", "reverse-check")
+    ops = {name: gsub.add_parser(name) for name in names}
+    for q in ops.values():
+        q.add_argument("--in", dest="infile", required=True)
+    ops["regularize"].add_argument("--d", type=int, required=True)
+    ops["prune"].add_argument("--t", type=_rat_arg, required=True)
+    q = ops["sparse-check"]
     q.add_argument("--f-q", dest="f_q", type=int, required=True)
     q.add_argument("--f-e", dest="f_e", type=_rat_arg, required=True)
     q.add_argument("--scope", choices=["adjacent", "all", "all_pairs"], default="adjacent")
-    q.add_argument("--limit", type=int, default=16)
-    q.add_argument("--samples", type=int, default=100_000)
-    q.add_argument("--seed", type=int, default=0)
-    q = gsub.add_parser("bad4")
-    q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--q", type=int, required=True)
-    q.add_argument("--c", type=_rat_arg, required=True)
-    q.add_argument("--limit", type=int, default=16)
-    q.add_argument("--samples", type=int, default=100_000)
-    q.add_argument("--seed", type=int, default=0)
-    q = gsub.add_parser("hplus")
-    q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--out", required=True)
-    q = gsub.add_parser("reverse-check")
-    q.add_argument("--in", dest="infile", required=True)
-    for sp in gsub.choices.values():
-        sp.set_defaults(func=_cmd_graph)
+    ops["bad4"].add_argument("--q", type=int, required=True)
+    ops["bad4"].add_argument("--c", type=_rat_arg, required=True)
+    for name in ("sparse-check", "bad4"):
+        ops[name].add_argument("--limit", type=int, default=16)
+        ops[name].add_argument("--samples", type=int, default=100_000)
+        ops[name].add_argument("--seed", type=int, default=0)
+    for name in ("regularize", "prune", "hplus"):
+        ops[name].add_argument("--out", required=True)
+    gr.set_defaults(func=_cmd_graph)
 
     q = sub.add_parser("scaling-report", help="tangency counts over a parameter sweep, as CSV")
-    q.add_argument("--family", choices=["vee-fan", "doubling", "grounded"], required=True)
+    q.add_argument("--family", choices=list(FAMILIES), required=True)
     q.add_argument("--values", type=_int_list, required=True, help="comma-separated parameters")
     q.add_argument("--out")
     q.set_defaults(func=_cmd_scaling_report)
@@ -364,27 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     args._invocation = ["tanglab"] + list(argv)
-    missing = []
-    if args.command == "generate":
-        if args.kind in ("vee-fan", "random-graph") and args.n is None:
-            missing.append("--n")
-        if args.kind in ("doubling", "grounded", "incidence-grid") and args.k is None:
-            missing.append("--k")
-        if args.kind == "random-graph" and args.c is None:
-            missing.append("--c")
-    if missing:
-        print(f"{args.kind}: missing required {' '.join(missing)}", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return args.func(args)
-    except (FormatError, OSError, UnicodeDecodeError) as e:
-        # unreadable, unwritable or undecodable files are input errors too, named first
+    except (FormatError, OSError) as e:
+        # unreadable, unwritable, malformed or undecodable files are input errors too, named first
         print(f"{e.filename}: {e.strerror}" if isinstance(e, OSError) and e.filename else e, file=sys.stderr)
         return USAGE_ERROR
     except ValueError as e:

@@ -669,24 +669,3 @@ def tangency_graph(family: CurveFamily, strict: bool = True) -> TangencyGraph:
                 edges.append(TangencyEdge(i, j, p, _touch_type(ci, cj, p, _arcs(ci, p), _arcs(cj, p))))
     return TangencyGraph(nodes=family.ids, edges=edges)
 
-
-def subchain(chain: PolyChain, p: Point, q: Optional[Point] = None, cid: Optional[str] = None) -> PolyChain:
-    """The portion of the chain from p to q (or to the end when q is None),
-    in chain order.  p must come before q along the chain."""
-    pos_p = chain_position(chain, p)
-    if q is None:
-        pos_q = (len(chain.vertices) - 2, Fraction(1))
-        q = chain.end
-    else:
-        pos_q = chain_position(chain, q)
-    if pos_q < pos_p:
-        raise ValueError("q precedes p on the chain")
-    (ei, ti), (ej, tj) = pos_p, pos_q
-    verts: List[Point] = [p]
-    for k in range(ei + 1, ej + 1):
-        v = chain.vertices[k]
-        if v != verts[-1]:
-            verts.append(v)
-    if q != verts[-1]:
-        verts.append(q)
-    return PolyChain(cid or f"{chain.cid}[{format_rat(p.x)}..{format_rat(q.x)}]", verts)

@@ -1,8 +1,9 @@
-"""Text formats: curve-family files and bipartite-graph edge lists.
+"""Text formats: curve-family files, bipartite-graph edge lists and order lists.
 
-Family files are canonical (curves sorted by id, rationals normalized), so
-saving the same family twice is byte-identical.  Declared flags are re-checked
-on load and a mismatch is an error.
+Every file is read and written as UTF-8, whatever the locale, and a read error
+names the file and line.  Family files are canonical (curves sorted by id,
+rationals normalized), so saving the same family twice is byte-identical.
+Declared flags are re-checked on load and a mismatch is an error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,17 @@ def _read_lines(path) -> List[str]:
         raise FormatError(path, lineno, f"not UTF-8: byte 0x{data[e.start]:02x} ({e.reason})") from None
 
 
+def save_lines(lines: Sequence[str], path) -> None:
+    """Write the lines as UTF-8, each ended by a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_lists(path) -> List[List[str]]:
+    """The whitespace-separated tokens of each non-blank line: one order per line."""
+    return [line.split() for line in _read_lines(path) if line.strip()]
+
+
 def save_family(family: CurveFamily, path, extra_flags: Sequence[str] = ()) -> None:
     lines = [FAMILY_HEADER]
     if family.window is not None:
@@ -58,8 +70,7 @@ def save_family(family: CurveFamily, path, extra_flags: Sequence[str] = ()) -> N
         lines.append(f"curve {c.cid} {len(c.vertices)}")
         for v in c.vertices:
             lines.append(f"{format_rat(v.x)} {format_rat(v.y)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    save_lines(lines, path)
 
 
 def load_family(path) -> CurveFamily:
@@ -158,8 +169,7 @@ def save_graph(g: BipartiteGraph, path) -> None:
     bi = {b: i for i, b in enumerate(g.b_ids)}
     lines = [f"A {len(g.a_ids)} B {len(g.b_ids)}"]
     lines += [f"{a} {b}" for a, b in sorted((ai[a], bi[b]) for a, b in g.edges())]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    save_lines(lines, path)
 
 
 def load_graph(path) -> BipartiteGraph:

@@ -282,7 +282,6 @@ class Partition:
 
     def __init__(self, defining: CurveFamily):
         self.defining = defining
-        self.defining_ids = list(defining.ids)
         self.events_by_x, self.xs, slabs, self.cells, self._xw, self._geo = _sweep(defining)
         self.slab_curves: List[List[PolyChain]] = [[]]
         self.slab_cells: List[List[int]] = [[0]]

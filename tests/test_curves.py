@@ -16,7 +16,6 @@ from tanglab import (
     gen_grounded_family,
     gen_vee_fan,
     pt,
-    subchain,
     tangency_graph,
     tangency_type,
     validate_family,
@@ -147,21 +146,6 @@ def test_same_direction_collinear_arcs_degenerate():
     fam = CurveFamily([a, b])
     (status, _), = fam.contacts().values()
     assert status == "degenerate"
-
-
-# --- subchain --------------------------------------------------------------
-
-
-def test_subchain_between_interior_points():
-    c = chain("c", (0, 0), (2, 2), (4, 0))
-    s = subchain(c, pt(1, 1), pt(3, 1))
-    assert s.vertices == (pt(1, 1), pt(2, 2), pt(3, 1))
-
-
-def test_subchain_to_end():
-    c = chain("c", (0, 0), (2, 2), (4, 0))
-    s = subchain(c, pt(2, 2))
-    assert s.vertices == (pt(2, 2), pt(4, 0))
 
 
 # --- validation and tangency graph ----------------------------------------

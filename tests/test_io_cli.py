@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from tanglab import (
     save_graph,
     validate_family,
 )
-from tanglab.cli import run
+from tanglab.cli import build_parser, run
 from tanglab.io import FormatError
 
 import helpers
@@ -225,8 +226,55 @@ def test_cli_unknown_subcommand_exit_2(capsys):
     assert run(["frobnicate"]) == 2
 
 
-def test_cli_missing_required_param(capsys):
-    assert run(["generate", "vee-fan", "--out", "/tmp/x.txt"]) == 2
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["vee-fan"], "--n"),
+        (["doubling"], "--k"),
+        (["grounded", "--eps", "1/256"], "--k"),
+        (["incidence-grid"], "--k"),
+        (["random-graph", "--c", "3/2"], "--n"),
+        (["random-graph", "--n", "8"], "--c"),
+    ],
+    ids=["vee-fan", "doubling", "grounded", "incidence-grid", "random-graph-n", "random-graph-c"],
+)
+def test_cli_missing_required_param(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.txt"
+    assert run(["generate", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "required" in captured.err and flag in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vee-fan", "--n", "3", "--k", "2"],
+        ["doubling", "--k", "2", "--eps", "1/2"],
+        ["grounded", "--k", "1", "--n", "3"],
+        ["incidence-grid", "--k", "2", "--c", "3/2"],
+        ["random-graph", "--n", "8", "--c", "3/2", "--k", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_generate_rejects_a_flag_its_kind_does_not_read(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert run(["generate", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    """Every `tanglab ...` line of README's command-line block is accepted by
+    the parser, so the documented flags cannot drift from it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [argv for argv in lines if argv]
+    assert len(lines) >= 10 and all(argv[0] == "tanglab" for argv in lines)
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
 
 
 @pytest.mark.parametrize(
@@ -262,6 +310,15 @@ def test_undecodable_byte_names_its_line(tmp_path, loader):
         loader(p)
 
 
+def _in_ascii_locale(args, cwd):
+    """`python <args>` in a child in the C locale, with UTF-8 mode and locale
+    coercion off, importing the tanglab under test."""
+    src = str(Path(tanglab.__file__).parents[1])
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONIOENCODING": "ascii"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-X", "utf8=0", *args], capture_output=True, text=True, env=env, cwd=cwd)
+
+
 def test_io_round_trips_utf8_in_an_ascii_locale(tmp_path):
     """Files are UTF-8 whatever the locale: a child in the C locale, with
     UTF-8 mode and locale coercion off, saves and loads a family and a graph
@@ -280,14 +337,30 @@ save_graph(BipartiteGraph([{ae}], [{oe}], [({ae}, {oe})]), "g.txt")
 assert load_graph("g.txt").n_edges == 1
 assert load_family({ascii(str(written))}).ids == [{ascii("β2")}]
 """
-    src = str(Path(tanglab.__file__).parents[1])
-    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONIOENCODING": "ascii"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "utf8=0", "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
-    )
+    proc = _in_ascii_locale(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "fam.txt").read_bytes().decode("utf-8").splitlines()[1] == "curve α1 2"
+
+
+@pytest.mark.parametrize(
+    "lists, verdict, code",
+    [("α b c\nc b α\n", "intersection-reverse", 0), ("α b c\nx α b c\n", "violated", 1)],
+    ids=["holds", "violated"],
+)
+def test_cli_reverse_check_reads_utf8_in_an_ascii_locale(tmp_path, lists, verdict, code):
+    (tmp_path / "lists.txt").write_bytes(lists.encode("utf-8"))
+    proc = _in_ascii_locale(["-m", "tanglab.cli", "graph", "reverse-check", "--in", "lists.txt"], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["lists"], data["verdict"]) == (2, verdict)
+
+
+def test_cli_reverse_check_names_the_line_of_an_undecodable_byte(tmp_path):
+    (tmp_path / "lists.txt").write_bytes("α b\n".encode("utf-8") + b"c \xff d\n")
+    proc = _in_ascii_locale(["-m", "tanglab.cli", "graph", "reverse-check", "--in", "lists.txt"], tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("lists.txt:2: not UTF-8: byte 0xff")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_cli_sparse_check_holds_on_k22_free(tmp_path, capsys):
