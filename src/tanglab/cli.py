@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -361,6 +362,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         # unreadable, unwritable, malformed or undecodable files are input errors too, named first
         print(f"{e.filename}: {e.strerror}" if isinstance(e, OSError) and e.filename else e, file=sys.stderr)
         return USAGE_ERROR
+    except UnicodeEncodeError as e:
+        # a result that stdout's encoding cannot hold (an id, in the C locale) is not a failed property
+        print(f"stdout ({sys.stdout.encoding}) cannot encode {ascii(e.object[e.start:e.end])}", file=sys.stderr)
+        return USAGE_ERROR
     except ValueError as e:
         # these commands raise ValueError only on input outside the domain
         print(str(e), file=sys.stderr)
@@ -368,6 +373,8 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a reader that stops early (`| head`) ends the process quietly
     sys.exit(run())
 
 

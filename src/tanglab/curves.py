@@ -20,7 +20,9 @@ integer grid.  It reports int homogeneous points, which `common_points`
 turns into exact Fractions.  Classification runs on ints too: cross/touch,
 the tangency type and the position along a chain all read `_arcs`, the int
 arcs leaving a point.  A family caches its contact map and its validation
-report, and xmono reads that map.
+report, and xmono reads that map.  The map holds int grid triples, not
+Points: a lone proper crossing builds no Fraction, and only a pair with a
+hit that is not a proper crossing goes through `common_points`.
 """
 
 from __future__ import annotations
@@ -329,6 +331,30 @@ def _pair_points_int(segs1: list, segs2: list) -> List[Tuple[Tuple[int, int, int
     return list(out.items())
 
 
+def _pair_hits(ids: Tuple[str, str], segs1: list, segs2: list) -> list:
+    """`_pair_points_int` on two chains, whose ids name the pair in an error."""
+    try:
+        return _pair_points_int(segs1, segs2)
+    except DegeneracyError as e:
+        raise DegeneracyError(f"{ids[0]}/{ids[1]}: {e}") from None
+
+
+def _grid(p, scale: int) -> Tuple[int, int, int]:
+    """Point p on the grid scaled by `scale`, as the reduced int homogeneous
+    triple (X, Y, W), W > 0, that the kernel reports for it.  Builds no
+    Fraction: with w the lcm of p's denominators, the triple
+    (x*w*scale, y*w*scale, w) has gcd exactly gcd(scale, w)."""
+    x, y = _rat(p[0]), _rat(p[1])
+    w = lcm(x.denominator, y.denominator)
+    g = gcd(scale, w)
+    return x.numerator * (scale // g) * (w // x.denominator), y.numerator * (scale // g) * (w // y.denominator), w // g
+
+
+def _point(t: Tuple[int, int, int], scale: int) -> Point:
+    """The Point of the grid triple t, the inverse of `_grid`."""
+    return Point(Fraction(t[0], t[2] * scale), Fraction(t[1], t[2] * scale))
+
+
 def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> List[Tuple[Point, str]]:
     """All common points of two simple chains, each classified 'cross'/'touch'.
 
@@ -337,15 +363,8 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
     """
     if scale is None:
         scale = lcm(c1.scale, c2.scale)
-    segs1 = c1.scaled_segments(scale)
-    segs2 = c2.scaled_segments(scale)
-    if len(segs1) > len(segs2):
-        segs1, segs2 = segs2, segs1
-    try:
-        hits = _pair_points_int(segs1, segs2)
-    except DegeneracyError as e:
-        raise DegeneracyError(f"{c1.cid}/{c2.cid}: {e}") from None
-    pts = sorted((Point(Fraction(x, w * scale), Fraction(y, w * scale)), proper) for (x, y, w), proper in hits)
+    hits = _pair_hits((c1.cid, c2.cid), c1.scaled_segments(scale), c2.scaled_segments(scale))
+    pts = sorted((_point(q, scale), proper) for q, proper in hits)
     return [(p, "cross" if proper else classify_contact(c1, c2, p)) for p, proper in pts]
 
 
@@ -444,27 +463,35 @@ class CurveFamily:
         return self._scale
 
     def contacts(self) -> Dict[Tuple[str, str], tuple]:
-        """Pairwise contact map {(id_i, id_j): ('ok', [(pt, kind), ...]) or
-        ('degenerate', reason)} for i < j in family order.  A pair with no
-        entry is disjoint: it shares no point.  The pair kernel runs only on
-        the pairs that `_near_pairs` keeps; a pair whose bucket extents
-        never overlap gets no kernel call and no entry."""
+        """Pairwise contact map {(id_i, id_j): ('ok', ((t, kind), ...)) or
+        ('degenerate', reason)} for i < j in family order; t is a common
+        point's reduced int triple on the grid of `self.scale` (`_grid`).
+        The pair kernel runs only on the pairs that `_near_pairs` keeps, and
+        a pair with no entry is disjoint: it shares no point.  Proper
+        crossings are stored as the kernel found them; a pair with any
+        other hit (a touch, a vertex or endpoint contact) is classified by
+        `common_points`."""
         if self._contacts is None:
             scale = self.scale
             result: Dict[Tuple[str, str], tuple] = {}
             cs = self.curves
-            near = _near_pairs([c.scaled_segments(scale) for c in cs])
-            for i, mask in enumerate(near):
+            segs = [c.scaled_segments(scale) for c in cs]
+            for i, mask in enumerate(_near_pairs(segs)):
                 # the set bits of mask, low to high
                 for j in [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]:
                     key = (cs[i].cid, cs[j].cid)
                     try:
-                        pts = common_points(cs[i], cs[j], scale)
+                        hits = _pair_hits(key, segs[i], segs[j])
+                        if len(hits) == 1 and hits[0][1]:
+                            result[key] = ("ok", ((hits[0][0], "cross"),))
+                        elif hits and all(proper for _, proper in hits):  # crossings need no classification
+                            ts = sorted((t for t, _ in hits), key=lambda t: _point(t, 1))  # common_points order
+                            result[key] = ("ok", tuple((t, "cross") for t in ts))
+                        elif hits:
+                            pts = common_points(cs[i], cs[j], scale)
+                            result[key] = ("ok", tuple((_grid(p, scale), kind) for p, kind in pts))
                     except DegeneracyError as e:
                         result[key] = ("degenerate", str(e))
-                        continue
-                    if pts:
-                        result[key] = ("ok", pts)
             self._contacts = result
         return self._contacts
 
@@ -518,10 +545,6 @@ class ValidationReport:
         )
 
 
-def _point_key(p: Point) -> Tuple[int, int, int, int]:
-    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
-
-
 def validate_family(family: CurveFamily) -> ValidationReport:
     """Full pairwise scan: simplicity, contact multiplicities, triple points,
     window/ground discipline.  This is the oracle everything else trusts.
@@ -538,35 +561,30 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     n = len(family)
     disj = n * (n - 1) // 2 - len(contacts)
     precisely = disj == 0
-    # points keyed by ints, which hash much faster than Fractions
-    ends = {c.cid: (_point_key(c.start), _point_key(c.end)) for c in family.curves}
+    ends = {c.cid: (_grid(c.start, family.scale), _grid(c.end, family.scale)) for c in family.curves}
     first_pair: Dict[tuple, Tuple[str, str]] = {}  # point -> first pair through it
-    shared: Dict[Point, set] = {}  # points of several pairs -> their curves
+    shared: Dict[tuple, set] = {}  # points of several pairs -> their curves
     for pair, (status, data) in contacts.items():
         i, j = pair
         if status == "degenerate":
             degenerate.append((i, j, data))
             precisely = False
             continue
-        pts = data
-        if len(pts) > 1:
-            multi.append((i, j, len(pts)))
+        if len(data) > 1:
+            multi.append((i, j, len(data)))
             precisely = False
+        elif data[0][1] == "touch":
+            tang += 1
         else:
-            p, kind = pts[0]
-            if kind == "touch":
-                tang += 1
-            else:
-                crossn += 1
-        for p, kind in pts:
-            key = _point_key(p)
-            first = first_pair.setdefault(key, pair)
+            crossn += 1
+        for t, _ in data:
+            first = first_pair.setdefault(t, pair)
             if first != pair:
-                shared.setdefault(p, set(first)).update(pair)
-            if key in ends[i] or key in ends[j]:
-                endpointish.append((i, j, p))
+                shared.setdefault(t, set(first)).update(pair)
+            if t in ends[i] or t in ends[j]:
+                endpointish.append((i, j, _point(t, family.scale)))
     # two different pairs through one point make at least three curves
-    triples = sorted((p, tuple(sorted(owners))) for p, owners in shared.items())
+    triples = sorted((_point(t, family.scale), tuple(sorted(owners))) for t, owners in shared.items())
 
     all_mono = all(c.is_x_monotone() for c in family.curves)
     w = family.window
@@ -663,9 +681,9 @@ def tangency_graph(family: CurveFamily, strict: bool = True) -> TangencyGraph:
     for (i, j), (status, data) in contacts.items():
         if status == "degenerate":
             continue
-        for p, kind in data:
+        for t, kind in data:
             if kind == "touch":
-                ci, cj = family.curve(i), family.curve(j)
+                ci, cj, p = family.curve(i), family.curve(j), _point(t, family.scale)
                 edges.append(TangencyEdge(i, j, p, _touch_type(ci, cj, p, _arcs(ci, p), _arcs(cj, p))))
     return TangencyGraph(nodes=family.ids, edges=edges)
 

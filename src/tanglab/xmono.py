@@ -16,9 +16,9 @@ All comparisons are exact, on ints of the family's scaled grid, with no
 float and no true division.  An event point is keyed by its int triple
 (X, Y, W), and events are sorted by cross-multiplication: x first (X1*W2
 against X2*W1), then y.  Abscissa searches, the chains leaving a point (by
-slope) and the cuts of `cell_stats` are ordered the same way.  No Fraction
-is built for an event: `xs`, `events_by_x` and the cell bounds reuse the
-event points' own Fractions, and every search reads the int abscissas.
+slope) and the cuts of `cell_stats` are ordered the same way.  `xs`,
+`events_by_x` and the cell bounds reuse chain endpoints and build one Point
+per other event; every search reads the int abscissas.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cmp_to_key
 from math import lcm
 from typing import Dict, List, Optional, Set, Tuple
 
-from .curves import CurveFamily, DegeneracyError, PolyChain, _pair_points_int, _rat, common_points, validate_family
+from .curves import CurveFamily, DegeneracyError, PolyChain, _grid, _pair_hits, _point, common_points, validate_family
 from .geom import Point
 
 
@@ -63,14 +63,6 @@ def _require_x_monotone(family: CurveFamily) -> None:
     for c in family.curves:
         if not c.is_x_monotone():
             raise ValueError(f"{c.cid} is not x-monotone")
-
-
-def _grid(p, scale: int) -> Tuple[int, int, int]:
-    """Point p on the grid scaled by `scale`, as int homogeneous coordinates
-    (X, Y, W) with W > 0, one triple per point."""
-    x, y = _rat(p[0]), _rat(p[1])
-    w = lcm(x.denominator, y.denominator)
-    return x.numerator * scale * (w // x.denominator), y.numerator * scale * (w // y.denominator), w
 
 
 # exact orders: abscissas (X, W, ...) with W > 0, grid points by x then y, int segments by slope
@@ -123,19 +115,20 @@ def _sweep(family: CurveFamily):
     scale = family.scale
     geo = {c: c.scaled_segments(scale) for c in family.curves}
     geo = {c: (segs, [s[0] for s in segs]) for c, segs in geo.items()}
-    points = [(e, (c,)) for c in family.curves for e in (c.start, c.end)]
+    points = [(_grid(e, scale), e, (c,)) for c in family.curves for e in (c.start, c.end)]
     for (a, b), (status, data) in family.contacts().items():
         if status == "degenerate":
             raise DegeneracyError(data)
-        points += [(p, (family.curve(a), family.curve(b))) for p, _ in data]
-    through: Dict[Tuple[int, int, int], tuple] = {}  # grid key -> (point, chains through it)
-    for p, chains in points:
-        through.setdefault(_grid(p, scale), (p, set()))[1].update(chains)
+        points += [(t, None, (family.curve(a), family.curve(b))) for t, _ in data]
+    through: Dict[Tuple[int, int, int], list] = {}  # grid triple -> [an endpoint there or None, chains through it]
+    for t, p, chains in points:
+        through.setdefault(t, [p, set()])[1].update(chains)
     events_by_x: Dict[Fraction, List[Fraction]] = {}
     xw: List[Tuple[int, int]] = []
     groups: List[list] = []  # per abscissa: (key, chains through it) of its event points
     for key in sorted(through, key=_BY_XY):
         p, on = through[key]
+        p = p or _point(key, scale)
         if not xw or xw[-1][0] * key[2] != key[0] * xw[-1][1]:
             xw.append((key[0], key[2]))
             ys = events_by_x[p.x] = []
@@ -348,7 +341,7 @@ def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
     Each probe chain is walked left to right on one int grid, scaled by
     lcm(partition scale, family scale).  Its breakpoints are the event
     abscissas inside its span and its common points with the defining
-    chains (`_pair_points_int`).  Between two breakpoints the chain stays
+    chains (`_pair_hits`).  Between two breakpoints the chain stays
     inside one slab and meets no defining chain, so the piece meets the one
     cell that holds its midpoint, found by bisecting that slab's order.  The
     endpoints go through `locate`.  A chain of the partition itself lies on
@@ -373,10 +366,7 @@ def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
         for d in defining.curves:
             if d.cid == c.cid:
                 continue
-            try:
-                hits = _pair_points_int(segs, d.scaled_segments(scale))
-            except DegeneracyError as e:
-                raise DegeneracyError(f"{c.cid}/{d.cid}: {e}") from None
+            hits = _pair_hits((c.cid, d.cid), segs, d.scaled_segments(scale))
             cuts.update((x, w) for (x, _, w), _ in hits if lo * w < x < hi * w)
         # breakpoints in order, events and contacts merged
         i = slab = bisect_right(events, _BY_X((lo, 1)), key=_BY_X)

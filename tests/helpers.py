@@ -634,7 +634,8 @@ def sweep_reference(family):
         through.setdefault(c.end, set()).add(c)
     for (a, b), (status, data) in family.contacts().items():
         assert status == "ok", data
-        for p, _ in data:
+        for (x, y, w), _ in data:  # grid triples on the family's scale
+            p = Point(F(x, w * scale), F(y, w * scale))
             through.setdefault(p, set()).update((family.curve(a), family.curve(b)))
     events_by_x = {}
     for p in sorted(through):
@@ -789,6 +790,35 @@ def cell_stats_oracle(partition, family):
         s, m = short.get(cell, set()), meets.get(cell, set())
         out.append(CellStats(cell, sorted(m - s), sorted(s)))
     return out
+
+
+def count_pair_scans(monkeypatch, *families):
+    """Record each call of the pair kernel on two chains of one of the
+    families, as the frozenset of their ids.  A call made inside
+    `common_points` is not recorded: `contacts()` runs it only on a pair the
+    kernel has just scanned, to classify that pair's points."""
+    from tanglab import curves, xmono
+
+    owner = {id(c.scaled_segments(f.scale)): c.cid for f in families for c in f.curves}
+    calls, inside = [], []
+    kernel, classify = curves._pair_points_int, curves.common_points
+
+    def scan(segs1, segs2):
+        if not inside and id(segs1) in owner and id(segs2) in owner:
+            calls.append(frozenset((owner[id(segs1)], owner[id(segs2)])))
+        return kernel(segs1, segs2)
+
+    def classifying(*args):
+        inside.append(args)
+        try:
+            return classify(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(curves, "_pair_points_int", scan)  # every kernel call goes through this name
+    for module in (curves, xmono):
+        monkeypatch.setattr(module, "common_points", classifying)
+    return calls
 
 
 # --- grounded generator ------------------------------------------------------

@@ -274,12 +274,12 @@ def _dense_recount(fam):
         for cj in cs[i + 1 :]:
             try:
                 pts = common_points(ci, cj)
-            except DegeneracyError:
-                keys[ci.cid, cj.cid] = "degenerate"
+            except DegeneracyError as e:
+                keys[ci.cid, cj.cid] = ("degenerate", str(e))
                 all_one = False
                 continue
             if pts:
-                keys[ci.cid, cj.cid] = pts
+                keys[ci.cid, cj.cid] = ("ok", pts)
             disj += not pts
             if len(pts) == 1:
                 tang += pts[0][1] == "touch"
@@ -336,9 +336,11 @@ def test_contact_map_keys_and_report_match_dense_recount():
         contacts = fam.contacts()
         assert contacts.keys() == keys.keys()
         for key, (status, data) in contacts.items():
-            assert status == ("degenerate" if keys[key] == "degenerate" else "ok")
+            # the map holds grid triples and tuples; common_points, Points and lists
             if status == "ok":
-                assert data == keys[key] and data
+                assert type(data) is tuple and data
+                data = [(curves._point(t, fam.scale), kind) for t, kind in data]
+            assert (status, data) == keys[key]
         rep = validate_family(fam)
         assert (rep.disjoint_count, rep.tangency_count, rep.crossing_count) == (disj, tang, crossn)
         assert rep.is_precisely_1 == (rep.is_1_intersecting and all_one)
@@ -355,17 +357,50 @@ def test_contact_map_keys_and_report_match_dense_recount():
 
 
 def test_contacts_scans_few_more_pairs_than_meet(monkeypatch):
+    fam = gen_grounded_family(3)
+    calls = helpers.count_pair_scans(monkeypatch, fam)
+    contacts = fam.contacts()
+    assert len(contacts) == 12_728
+    assert len(calls) == len(set(calls)) <= 1.1 * 12_728
+    assert set(calls) >= {frozenset(key) for key in contacts}
+
+
+def _count_common_points(monkeypatch):
+    """The (id, id) pairs that `contacts()` hands to common_points."""
     calls = []
     original = curves.common_points
 
     def counting(c1, c2, *args):
-        calls.append(frozenset((c1.cid, c2.cid)))
+        calls.append((c1.cid, c2.cid))
         return original(c1, c2, *args)
 
     monkeypatch.setattr(curves, "common_points", counting)
+    return calls
+
+
+def test_contacts_classifies_only_pairs_with_a_non_proper_hit(monkeypatch):
+    """A pair meeting in several proper crossings skips common_points too;
+    a touch at a vertex goes through it.  Entries keep its order."""
+    zig = PolyChain("z", [(0, 0), (2, 4), (4, 0)])
+    line = PolyChain("l", [(4, 1), (0, 1)])  # crosses both edges of z
+    cap = PolyChain("c", [(1, 4), (3, 4)])  # touches z at its apex
+    calls = _count_common_points(monkeypatch)
+    fam = CurveFamily([zig, line, cap])
+    status, data = fam.contacts()[("z", "l")]
+    assert calls == [("z", "c")]
+    assert status == "ok" and [(curves._point(t, fam.scale), kind) for t, kind in data] == common_points(zig, line)
+    assert [kind for _, kind in data] == ["cross", "cross"]
+
+
+def test_contacts_runs_common_points_once_per_tangency(monkeypatch):
+    """A pair meeting in one proper crossing is stored from the kernel's
+    hit; only the touching pairs of a grounded family reach common_points."""
+    calls = _count_common_points(monkeypatch)
     fam = gen_grounded_family(3)
-    assert len(fam.contacts()) == 12_728
-    assert len(calls) == len(set(calls)) <= 1.1 * 12_728
+    contacts = fam.contacts()
+    assert len(calls) == 324 == 4 * 3**4
+    touching = [key for key, (_, data) in contacts.items() if data[0][1] == "touch"]
+    assert calls == touching
 
 
 # --- properties ------------------------------------------------------------

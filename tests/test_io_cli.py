@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -310,12 +311,16 @@ def test_undecodable_byte_names_its_line(tmp_path, loader):
         loader(p)
 
 
+def _child_env(**extra):
+    """This environment plus `extra`, importing the tanglab under test."""
+    src = str(Path(tanglab.__file__).parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _in_ascii_locale(args, cwd):
     """`python <args>` in a child in the C locale, with UTF-8 mode and locale
     coercion off, importing the tanglab under test."""
-    src = str(Path(tanglab.__file__).parents[1])
-    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONIOENCODING": "ascii"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = _child_env(PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONIOENCODING="ascii")
     return subprocess.run([sys.executable, "-X", "utf8=0", *args], capture_output=True, text=True, env=env, cwd=cwd)
 
 
@@ -361,6 +366,30 @@ def test_cli_reverse_check_names_the_line_of_an_undecodable_byte(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("lists.txt:2: not UTF-8: byte 0xff")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["envelope", "visibility"])
+def test_cli_names_stdout_encoding_when_an_id_does_not_fit(tmp_path, command):
+    """In the C locale stdout is ASCII: printing the id α is an environment
+    error, exit 2 with one line naming the encoding, not a failed property."""
+    fam = CurveFamily([PolyChain("α", [(0, 0), (2, 0)]), PolyChain("b", [(0, 1), (2, 1)])])
+    save_family(fam, tmp_path / "fam.txt")
+    proc = _in_ascii_locale(["-m", "tanglab.cli", command, "--in", "fam.txt"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["stdout (ascii) cannot encode '\\u03b1'"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_cli_stops_quietly_when_stdout_is_closed(tmp_path):
+    """A reader that stops early (`tanglab validate ... | head -c 20`) gets
+    no errno line and no shutdown warning on stderr."""
+    save_family(gen_grounded_family(2), tmp_path / "g.txt")
+    argv = [sys.executable, "-m", "tanglab.cli", "validate", "--in", "g.txt"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(), cwd=tmp_path)
+    proc.stdout.close()  # before the child writes: its first write meets a closed pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == -signal.SIGPIPE and err == b""
 
 
 def test_cli_sparse_check_holds_on_k22_free(tmp_path, capsys):

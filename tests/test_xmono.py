@@ -471,18 +471,16 @@ def _assert_scanned_once(fam, calls):
 
 
 def test_visibility_and_partition_scan_each_pair_once(monkeypatch):
-    calls = _count_common_points(monkeypatch)
     span = helpers.random_spanning_family(3)
-    fresh = CurveFamily(span.curves, window=span.window, x_monotone=True, bi_infinite=True)
-    calls.clear()
-    vertical_visibility_pairs(fresh)
-    _assert_scanned_once(fresh, calls)
+    spanning = CurveFamily(span.curves, window=span.window, x_monotone=True, bi_infinite=True)
+    segments = CurveFamily(helpers.random_segment_family(2, 12).curves, x_monotone=True)
+    calls = helpers.count_pair_scans(monkeypatch, spanning, segments)
+    vertical_visibility_pairs(spanning)
+    _assert_scanned_once(spanning, calls)
 
-    segs = helpers.random_segment_family(2, 12)
-    fresh = CurveFamily(segs.curves, x_monotone=True)
     calls.clear()
-    trapezoidal_partition(fresh)
-    _assert_scanned_once(fresh, calls)
+    trapezoidal_partition(segments)
+    _assert_scanned_once(segments, calls)
 
 
 def test_cell_stats_long_short():
