@@ -45,7 +45,6 @@ from .geom import (
     GeometryError,
     OverlapError,
     Point,
-    Rational,
     Segment,
     format_rat,
     on_segment,

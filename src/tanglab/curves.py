@@ -22,7 +22,8 @@ the tangency type and the position along a chain all read `_arcs`, the int
 arcs leaving a point.  A family caches its contact map and its validation
 report, and xmono reads that map.  The map holds int grid triples, not
 Points: a lone proper crossing builds no Fraction, and only a pair with a
-hit that is not a proper crossing goes through `common_points`.
+hit that is not a proper crossing goes through `common_points`.  Triples
+sort by `_BY_XY`, their Points' order; Points are built after the sort.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd, isqrt, lcm
 from operator import or_
@@ -161,8 +163,7 @@ def _arcs(chain: PolyChain, p: Point) -> Tuple[str, int, List[Tuple[int, int]]]:
     (P = p*scale*w), positive multiples of the true ones.  The first vertex
     at p wins, else the first edge through p.  ValueError if p is off it."""
     s = chain.scale
-    w = lcm(p.x.denominator, p.y.denominator)
-    px, py = p.x.numerator * (w // p.x.denominator) * s, p.y.numerator * (w // p.y.denominator) * s
+    px, py, w = _grid(p, s)
     hits = {}  # edge index -> arcs toward its two ends, for the edges through p
     for minx, maxx, miny, maxy, ax, ay, bx, by, i in chain.scaled_segments(s):
         if minx * w > px:
@@ -355,6 +356,10 @@ def _point(t: Tuple[int, int, int], scale: int) -> Point:
     return Point(Fraction(t[0], t[2] * scale), Fraction(t[1], t[2] * scale))
 
 
+# grid triples in their Points' order: x, then y, by cross-multiplication (W > 0)
+_BY_XY = cmp_to_key(lambda s, t: (s[0] * t[2] - t[0] * s[2]) or (s[1] * t[2] - t[1] * s[2]))
+
+
 def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> List[Tuple[Point, str]]:
     """All common points of two simple chains, each classified 'cross'/'touch'.
 
@@ -364,7 +369,7 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
     if scale is None:
         scale = lcm(c1.scale, c2.scale)
     hits = _pair_hits((c1.cid, c2.cid), c1.scaled_segments(scale), c2.scaled_segments(scale))
-    pts = sorted((_point(q, scale), proper) for q, proper in hits)
+    pts = [(_point(q, scale), proper) for q, proper in sorted(hits, key=lambda h: _BY_XY(h[0]))]
     return [(p, "cross" if proper else classify_contact(c1, c2, p)) for p, proper in pts]
 
 
@@ -485,7 +490,7 @@ class CurveFamily:
                         if len(hits) == 1 and hits[0][1]:
                             result[key] = ("ok", ((hits[0][0], "cross"),))
                         elif hits and all(proper for _, proper in hits):  # crossings need no classification
-                            ts = sorted((t for t, _ in hits), key=lambda t: _point(t, 1))  # common_points order
+                            ts = sorted((t for t, _ in hits), key=_BY_XY)  # common_points order
                             result[key] = ("ok", tuple((t, "cross") for t in ts))
                         elif hits:
                             pts = common_points(cs[i], cs[j], scale)
@@ -560,7 +565,6 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     crossn = 0
     n = len(family)
     disj = n * (n - 1) // 2 - len(contacts)
-    precisely = disj == 0
     ends = {c.cid: (_grid(c.start, family.scale), _grid(c.end, family.scale)) for c in family.curves}
     first_pair: Dict[tuple, Tuple[str, str]] = {}  # point -> first pair through it
     shared: Dict[tuple, set] = {}  # points of several pairs -> their curves
@@ -568,11 +572,9 @@ def validate_family(family: CurveFamily) -> ValidationReport:
         i, j = pair
         if status == "degenerate":
             degenerate.append((i, j, data))
-            precisely = False
             continue
         if len(data) > 1:
             multi.append((i, j, len(data)))
-            precisely = False
         elif data[0][1] == "touch":
             tang += 1
         else:
@@ -584,7 +586,7 @@ def validate_family(family: CurveFamily) -> ValidationReport:
             if t in ends[i] or t in ends[j]:
                 endpointish.append((i, j, _point(t, family.scale)))
     # two different pairs through one point make at least three curves
-    triples = sorted((_point(t, family.scale), tuple(sorted(owners))) for t, owners in shared.items())
+    triples = [(_point(t, family.scale), tuple(sorted(shared[t]))) for t in sorted(shared, key=_BY_XY)]
 
     all_mono = all(c.is_x_monotone() for c in family.curves)
     w = family.window
@@ -599,7 +601,7 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     family._report = ValidationReport(
         n=n,
         is_1_intersecting=is_one,
-        is_precisely_1=is_one and precisely,
+        is_precisely_1=is_one and disj == 0,  # no degenerate or multi pair either
         non_simple=non_simple,
         degenerate_pairs=degenerate,
         multi_pairs=multi,

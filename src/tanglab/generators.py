@@ -23,16 +23,13 @@ from .geom import Point, pt
 from .xmono import value_at
 
 
-def gen_vee_fan(n: int, window: Optional[Tuple[Fraction, Fraction]] = None) -> CurveFamily:
-    """The base line y=0 plus the vees y=|x-i| for i=0..n-2: n curves, every
-    pair meeting exactly once, with the n-1 tangencies at the vee apexes."""
+def gen_vee_fan(n: int) -> CurveFamily:
+    """The base line y=0 plus the vees y=|x-i| for i=0..n-2 over the window
+    [-2, n]: n curves, every pair meeting exactly once, with the n-1
+    tangencies at the vee apexes."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if window is None:
-        window = (Fraction(-2), Fraction(n))
-    lo, hi = Fraction(window[0]), Fraction(window[1])
-    if not (lo < 0 and hi > n - 2):
-        raise ValueError(f"window must contain (0, {n - 2}) strictly")
+    lo, hi = Fraction(-2), Fraction(n)
     curves = [PolyChain("base", [pt(lo, 0), pt(hi, 0)])]
     for i in range(n - 1):
         curves.append(PolyChain(f"v{i}", [pt(lo, i - lo), pt(i, 0), pt(hi, hi - i)]))

@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 

@@ -10,11 +10,13 @@ cached contact map (`CurveFamily.contacts`).  No two chains meet inside a
 slab between consecutive events, so the vertical order changes only at an
 event point, among the chains through it: the sweep updates the order
 locally at each event point instead of sorting every slab, and walls only
-the gaps next to those chains.  Point location bisects a slab's order.
+the gaps next to those chains.  Point location bisects a slab's order.  The
+sweep is the only check on a family: ValueError names a chain that is not
+x-monotone, DegeneracyError a degenerate pair.
 
 All comparisons are exact, on ints of the family's scaled grid, with no
 float and no true division.  An event point is keyed by its int triple
-(X, Y, W), and events are sorted by cross-multiplication: x first (X1*W2
+(X, Y, W), and events are sorted by `curves._BY_XY`: x first (X1*W2
 against X2*W1), then y.  Abscissa searches, the chains leaving a point (by
 slope) and the cuts of `cell_stats` are ordered the same way.  `xs`,
 `events_by_x` and the cell bounds reuse chain endpoints and build one Point
@@ -31,7 +33,7 @@ from functools import cmp_to_key
 from math import lcm
 from typing import Dict, List, Optional, Set, Tuple
 
-from .curves import CurveFamily, DegeneracyError, PolyChain, _grid, _pair_hits, _point, common_points, validate_family
+from .curves import _BY_XY, CurveFamily, DegeneracyError, PolyChain, _grid, _pair_hits, _point, common_points
 from .geom import Point
 
 
@@ -44,19 +46,9 @@ def value_at(c: PolyChain, x: Fraction) -> Fraction:
     verts = c.vertices
     if not (verts[0].x <= x <= verts[-1].x):
         raise ValueError(f"x={x} outside the span of {c.cid}")
-    lo, hi = 0, len(verts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if verts[mid].x <= x:
-            lo = mid
-        else:
-            hi = mid
-    a, b = verts[lo], verts[hi]
-    if x == a.x:
-        return a.y
-    if x == b.x:
-        return b.y
-    return a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
+    i = bisect_left(verts, x, key=lambda v: v.x)
+    a, b = verts[i - 1], verts[i]  # at i == 0, x is b.x
+    return b.y if x == b.x else a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
 
 
 def _require_x_monotone(family: CurveFamily) -> None:
@@ -65,9 +57,8 @@ def _require_x_monotone(family: CurveFamily) -> None:
             raise ValueError(f"{c.cid} is not x-monotone")
 
 
-# exact orders: abscissas (X, W, ...) with W > 0, grid points by x then y, int segments by slope
+# exact orders: abscissas (X, W, ...) with W > 0, int segments by slope (grid points: curves' _BY_XY)
 _BY_X = cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1])
-_BY_XY = cmp_to_key(lambda s, t: (s[0] * t[2] - t[0] * s[2]) or (s[1] * t[2] - t[1] * s[2]))
 _BY_SLOPE = cmp_to_key(lambda s, t: (s[7] - s[5]) * (t[6] - t[4]) - (t[7] - t[5]) * (s[6] - s[4]))
 
 
@@ -315,11 +306,7 @@ class Partition:
 
 
 def trapezoidal_partition(defining: CurveFamily) -> Partition:
-    rep = validate_family(defining)
-    if rep.degenerate_pairs or rep.non_simple:
-        raise DegeneracyError(f"degenerate defining family: {rep.summary()}")
-    if not rep.all_x_monotone:
-        raise ValueError("defining family must be x-monotone")
+    """Partition(defining): its sweep is the only check (x-monotone chains are simple)."""
     return Partition(defining)
 
 

@@ -266,16 +266,44 @@ def test_cli_generate_rejects_a_flag_its_kind_does_not_read(tmp_path, capsys, ar
     assert not out.exists()
 
 
-def test_readme_command_lines_parse():
-    """Every `tanglab ...` line of README's command-line block is accepted by
-    the parser, so the documented flags cannot drift from it."""
+def _readme_command_lines():
+    """The argv of each `tanglab ...` line of README's command-line block."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     lines = [argv for argv in lines if argv]
     assert len(lines) >= 10 and all(argv[0] == "tanglab" for argv in lines)
-    for argv in lines:
+    return lines
+
+
+def test_readme_command_lines_parse():
+    """Every `tanglab ...` line of README's command-line block is accepted by
+    the parser, so the documented flags cannot drift from it."""
+    for argv in _readme_command_lines():
         build_parser().parse_args(argv[1:])
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    """README's command-line block runs as written, line by line in order,
+    each line exiting 0 within 20 s.  A line that overruns gets a
+    TimeoutError, an OSError, which `run` turns into exit 2."""
+
+    def overrun(signum, frame):
+        raise TimeoutError("README line ran longer than 20 s")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lists.txt").write_text("a b c\nc b a\n", encoding="utf-8")
+    previous = signal.signal(signal.SIGALRM, overrun)
+    try:
+        for argv in _readme_command_lines():
+            signal.alarm(20)
+            try:
+                code = run(argv[1:])
+            finally:
+                signal.alarm(0)
+            assert code == 0, (argv, capsys.readouterr().err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize(

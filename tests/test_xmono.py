@@ -427,10 +427,34 @@ def test_partition_locate_on_curve_is_none():
     assert part.locate(pt(2, 1)) is None
 
 
-def test_partition_rejects_non_x_monotone():
-    fam = CurveFamily([chain("a", (0, 0), (1, 1), (0, 2))])
-    with pytest.raises(ValueError):
-        trapezoidal_partition(fam)
+def test_partition_rejects_non_x_monotone(monkeypatch):
+    """The sweep is the partition's only check: its messages name the chain
+    or the pair, and no chain's simplicity or family report is computed."""
+    from tanglab import curves
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(curves.PolyChain, "is_simple", counting(curves.PolyChain.is_simple))
+    for module in (curves, xmono):
+        monkeypatch.setattr(module, "validate_family", counting(curves.validate_family), raising=False)
+    zigzag = chain("z", (0, 0), (1, 1), (0, 2))
+    overlap = [chain("a", (0, 0), (2, 0)), chain("b", (1, 0), (3, 0))]
+    for chains, error, message in (
+        ([zigzag], ValueError, "z is not x-monotone"),
+        (overlap, DegeneracyError, "a/b: collinear overlap of positive length"),
+        ([*overlap, zigzag], ValueError, "z is not x-monotone"),  # the chain is reported first
+    ):
+        with pytest.raises(ValueError) as info:
+            trapezoidal_partition(CurveFamily(chains))
+        assert type(info.value) is error and str(info.value) == message
+    assert calls == []
 
 
 def test_envelope_and_visibility_reject_non_x_monotone():
