@@ -24,6 +24,11 @@ report, and xmono reads that map.  The map holds int grid triples, not
 Points: a lone proper crossing builds no Fraction, and only a pair with a
 hit that is not a proper crossing goes through `common_points`.  Triples
 sort by `_BY_XY`, their Points' order; Points are built after the sort.
+The map of a family whose chains are all x-monotone comes from one sweep
+over the vertex abscissas (`_sweep_contacts`): slab crossings are order
+inversions, and only the pairs meeting on an abscissa reach the kernel.
+Any other family runs the kernel on each pair a broad phase keeps
+(`_pair_contacts`).  Both turn kernel hits into an entry by `_pair_entry`.
 """
 
 from __future__ import annotations
@@ -309,13 +314,7 @@ def _pair_points_int(segs1: list, segs2: list) -> List[Tuple[Tuple[int, int, int
                 out[pts[0] + (1,)] = False
                 continue
             if (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0) and 0 not in (o1, o2, o3, o4):
-                denom = d1x * d2y - d1y * d2x
-                tn = (cx - ax) * d2y - (cy - ay) * d2x
-                if denom < 0:
-                    denom, tn = -denom, -tn
-                px, py = ax * denom + tn * d1x, ay * denom + tn * d1y
-                g = gcd(px, py, denom)
-                q = (px // g, py // g, denom // g)
+                q = _crossing(s1, s2)
                 out[q] = q not in out
                 continue
             hit = None
@@ -330,6 +329,21 @@ def _pair_points_int(segs1: list, segs2: list) -> List[Tuple[Tuple[int, int, int
             if hit is not None:
                 out[hit + (1,)] = False
     return list(out.items())
+
+
+def _crossing(s1: tuple, s2: tuple) -> Tuple[int, int, int]:
+    """The reduced int triple (X, Y, W), W > 0, of the one common point of
+    two `_int_segments` tuples known to cross transversally."""
+    _, _, _, _, ax, ay, bx, by, _ = s1
+    _, _, _, _, cx, cy, dx, dy, _ = s2
+    d1x, d1y, d2x, d2y = bx - ax, by - ay, dx - cx, dy - cy
+    denom = d1x * d2y - d1y * d2x
+    tn = (cx - ax) * d2y - (cy - ay) * d2x
+    if denom < 0:
+        denom, tn = -denom, -tn
+    px, py = ax * denom + tn * d1x, ay * denom + tn * d1y
+    g = gcd(px, py, denom)
+    return px // g, py // g, denom // g
 
 
 def _pair_hits(ids: Tuple[str, str], segs1: list, segs2: list) -> list:
@@ -418,6 +432,133 @@ def _near_pairs(segment_lists: Sequence[list]) -> List[int]:
     return [m & -(2 << i) for i, m in enumerate(masks)]
 
 
+def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: int) -> Optional[tuple]:
+    """One pair's contact-map entry from the pair kernel, None if disjoint.
+    A lone proper crossing is stored as the kernel found it, several proper
+    crossings in `common_points`' order; a pair with any other hit (a touch,
+    a vertex or endpoint contact) is classified by `common_points`."""
+    try:
+        hits = _pair_hits((c1.cid, c2.cid), segs1, segs2)
+        if len(hits) == 1 and hits[0][1]:
+            return "ok", ((hits[0][0], "cross"),)
+        if hits and all(proper for _, proper in hits):  # crossings need no classification
+            return "ok", tuple((t, "cross") for t in sorted((t for t, _ in hits), key=_BY_XY))
+        if hits:
+            return "ok", tuple((_grid(p, scale), kind) for p, kind in common_points(c1, c2, scale))
+    except DegeneracyError as e:
+        return "degenerate", str(e)
+    return None
+
+
+def _pair_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str], tuple]:
+    """The contact map of any family: the pair kernel on each pair that
+    `_near_pairs` keeps, in family order."""
+    result: Dict[Tuple[str, str], tuple] = {}
+    segs = [c.scaled_segments(scale) for c in cs]
+    for i, mask in enumerate(_near_pairs(segs)):
+        # the set bits of mask, low to high
+        for j in [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]:
+            entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
+            if entry is not None:
+                result[(cs[i].cid, cs[j].cid)] = entry
+    return result
+
+
+def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str], tuple]:
+    """The contact map of a family of x-monotone chains, from one pass over
+    its distinct vertex abscissas, left to right.  Inside the open slab
+    between two consecutive abscissas every active chain is one segment, so
+    the pairs that cross there are the inversions between the vertical order
+    at the slab's left end and that at its right end; an insertion sort
+    finds them, and each crossing's triple is computed at its swap.  The
+    orders compare int keys floor(y * 2^S), S twice the bit length of the
+    widest segment's dx: two ordinates at an int abscissa have denominators
+    below 2^(S/2), so they differ by more than 2^-S unless equal, and the
+    keys are exact in order and in equality.  A pair with equal keys at some
+    abscissa meets there (a touch, a vertex or endpoint contact, a crossing
+    on the abscissa or an overlap) and gets `_pair_entry`, as in
+    `_pair_contacts`; every other pair meets only in its slab crossings."""
+    n = len(cs)
+    if n < 2:
+        return {}
+    segs = [c.scaled_segments(scale) for c in cs]  # x-monotone: in chain order, ax < bx
+    shift = 2 * max(s[1] - s[0] for ss in segs for s in ss).bit_length()
+
+    def line_of(s):  # (A, B, dx, s): s's key at abscissa x is (A + B*x) // dx
+        _, _, _, _, ax, ay, bx, by, _ = s
+        return (ay * (bx - ax) - (by - ay) * ax) << shift, (by - ay) << shift, bx - ax, s
+
+    starts: Dict[int, List[int]] = {}  # abscissa -> chains starting there
+    ends: Dict[int, List[int]] = {}  # abscissa -> chains with a segment ending there
+    for c, ss in enumerate(segs):
+        starts.setdefault(ss[0][0], []).append(c)
+        for s in ss:
+            ends.setdefault(s[1], []).append(c)
+    at = [0] * n  # each active chain's segment over the current slab
+    line: list = [None] * n  # and that segment's `line_of`
+    key = [0] * n
+    order: List[int] = []  # active chains, bottom to top just right of the last abscissa
+    # met[i]: j, t, j, t, ... for the pairs (i, j > i) in sweep order, t the
+    # triple of a slab crossing, or None where the keys are equal at an abscissa
+    met: List[Optional[list]] = [[] for _ in cs]
+    for x in sorted(ends.keys() | starts.keys()):
+        # keys at x; the inversions against the order left of x are the
+        # crossings in the slab, and each chain equal to one below it ties
+        top = 0  # the largest key so far
+        for k, c in enumerate(order):
+            a, b, d, _ = line[c]
+            kc = key[c] = (a + b * x) // d
+            if not k or kc > top:
+                top = kc
+                continue
+            if kc < top:
+                while k and key[order[k - 1]] > kc:
+                    e = order[k - 1]
+                    order[k] = e
+                    k -= 1
+                    row, j = (met[c], e) if c < e else (met[e], c)
+                    row += j, _crossing(line[c][3], line[e][3])
+                order[k] = c
+            while k and key[order[k - 1]] == kc:
+                e = order[k - 1]
+                met[min(c, e)] += max(c, e), None
+                k -= 1
+        for c in starts.get(x, ()):
+            a, b, d, _ = line[c] = line_of(segs[c][0])
+            kc = key[c] = (a + b * x) // d
+            k = m = bisect_left(order, kc, key=key.__getitem__)
+            while m < len(order) and key[order[m]] == kc:
+                e = order[m]
+                met[min(c, e)] += max(c, e), None
+                m += 1
+            order.insert(k, c)
+        # the segments over the next slab
+        stops = set()
+        for c in ends.get(x, ()):
+            at[c] += 1
+            if at[c] == len(segs[c]):
+                stops.add(c)
+            else:
+                line[c] = line_of(segs[c][at[c]])
+        if stops:
+            order = [c for c in order if c not in stops]
+    result: Dict[Tuple[str, str], tuple] = {}
+    for i, row in enumerate(met):
+        met[i] = None  # so that the rows and the map are never held in full at once
+        hits: Dict[int, list] = {}
+        for j, t in zip(row[::2], row[1::2]):
+            hits.setdefault(j, []).append(t)
+        for j in sorted(hits):
+            ts = hits[j]
+            if None in ts:
+                entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
+            else:  # slab crossings, found left to right: already in `_BY_XY` order
+                entry = "ok", tuple((t, "cross") for t in ts)
+            if entry is not None:
+                result[(cs[i].cid, cs[j].cid)] = entry
+    return result
+
+
 # --- families --------------------------------------------------------------
 
 
@@ -471,33 +612,20 @@ class CurveFamily:
         """Pairwise contact map {(id_i, id_j): ('ok', ((t, kind), ...)) or
         ('degenerate', reason)} for i < j in family order; t is a common
         point's reduced int triple on the grid of `self.scale` (`_grid`).
-        The pair kernel runs only on the pairs that `_near_pairs` keeps, and
-        a pair with no entry is disjoint: it shares no point.  Proper
-        crossings are stored as the kernel found them; a pair with any
-        other hit (a touch, a vertex or endpoint contact) is classified by
-        `common_points`."""
+        A pair with no entry is disjoint: it shares no point.  When every
+        chain is x-monotone (`PolyChain.is_x_monotone`, not the family's
+        flag) one sweep finds the crossings inside the slabs between vertex
+        abscissas (`_sweep_contacts`), and the pair kernel runs only on the
+        pairs meeting on an abscissa; otherwise it runs on the pairs that
+        `_near_pairs` keeps (`_pair_contacts`).  Proper crossings are stored
+        as found; a pair with any other hit (a touch, a vertex or endpoint
+        contact) is classified by `common_points`.  Both give the same map,
+        key order included."""
         if self._contacts is None:
-            scale = self.scale
-            result: Dict[Tuple[str, str], tuple] = {}
-            cs = self.curves
-            segs = [c.scaled_segments(scale) for c in cs]
-            for i, mask in enumerate(_near_pairs(segs)):
-                # the set bits of mask, low to high
-                for j in [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]:
-                    key = (cs[i].cid, cs[j].cid)
-                    try:
-                        hits = _pair_hits(key, segs[i], segs[j])
-                        if len(hits) == 1 and hits[0][1]:
-                            result[key] = ("ok", ((hits[0][0], "cross"),))
-                        elif hits and all(proper for _, proper in hits):  # crossings need no classification
-                            ts = sorted((t for t, _ in hits), key=_BY_XY)  # common_points order
-                            result[key] = ("ok", tuple((t, "cross") for t in ts))
-                        elif hits:
-                            pts = common_points(cs[i], cs[j], scale)
-                            result[key] = ("ok", tuple((_grid(p, scale), kind) for p, kind in pts))
-                    except DegeneracyError as e:
-                        result[key] = ("degenerate", str(e))
-            self._contacts = result
+            if all(c.is_x_monotone() for c in self.curves):
+                self._contacts = _sweep_contacts(self.curves, self.scale)
+            else:
+                self._contacts = _pair_contacts(self.curves, self.scale)
         return self._contacts
 
     def subfamily(self, ids: Sequence[str]) -> "CurveFamily":

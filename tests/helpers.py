@@ -109,6 +109,124 @@ def random_spanning_family(seed, n_max=12):
     raise RuntimeError(f"no overlap-free spanning instance for seed {seed}")
 
 
+def _chain(cid, *verts):
+    return PolyChain(cid, list(verts))
+
+
+def xmono_hand_families():
+    """Coincidences the sweep must order: several chains through one point,
+    chains starting at a shared point or on another chain, touching pairs,
+    and several event points on one vertical line."""
+    return [
+        # three segments through (1, 0), and a fourth crossing them elsewhere
+        CurveFamily(
+            [
+                _chain("a", (0, -1), (2, 1)),
+                _chain("b", (0, 0), (2, 0)),
+                _chain("c", (0, 1), (2, -1)),
+                _chain("d", (0, 3), (3, -3)),
+            ]
+        ),
+        # three chains starting at (0, 0), crossed by a fourth
+        CurveFamily(
+            [
+                _chain("a", (0, 0), (2, 1)),
+                _chain("b", (0, 0), (2, -1)),
+                _chain("c", (0, 0), (2, 0)),
+                _chain("d", (-1, 2), (3, -2)),
+            ]
+        ),
+        # two chains starting on a, and one ending on it
+        CurveFamily(
+            [
+                _chain("a", (0, 0), (4, 0)),
+                _chain("b", (1, 0), (3, 2)),
+                _chain("c", (1, 0), (3, -2)),
+                _chain("e", (2, 3), (3, 0)),
+            ]
+        ),
+        # a line touched from above and from below at one point, and a
+        # touching pair that keeps its order
+        CurveFamily(
+            [
+                _chain("a", (0, 0), (4, 0)),
+                _chain("v", (0, 2), (2, 0), (4, 2)),
+                _chain("w", (0, -2), (2, 0), (4, -2)),
+                _chain("h", (0, 5), (3, 2), (4, 3)),
+                _chain("g", (1, 5), (3, 2), (5, 6)),
+            ]
+        ),
+        # x = 1 holds two crossings, a start and an end
+        CurveFamily(
+            [
+                _chain("a", (0, 0), (2, 2)),
+                _chain("b", (0, 2), (2, 0)),
+                _chain("c", (0, 10), (2, 12)),
+                _chain("d", (0, 12), (2, 10)),
+                _chain("e", (1, 5), (3, 5)),
+                _chain("f", (-1, 7), (1, 7)),
+            ]
+        ),
+    ]
+
+
+def xmono_adversarial_families():
+    """Event orders that a float key would get wrong, or that an int key
+    would split: one abscissa reached through different denominators, a
+    touch and a crossing on one vertical line, chains starting on chains,
+    and coordinates near 10^400 and 10^-400."""
+    big, t = 10**400, F(1, 10**400)
+    return [
+        # a and b cross at (1/3, 1/7), keyed with W = 21; c has a vertex at
+        # (1/3, 2) and d ends at (1/3, -1), keyed with W = 3
+        CurveFamily(
+            [
+                _chain("a", (0, 0), (F(2, 3), F(2, 7))),
+                _chain("b", (0, F(2, 7)), (F(2, 3), 0)),
+                _chain("c", (0, 3), (F(1, 3), 2), (1, 3)),
+                _chain("d", (-1, -1), (F(1, 3), -1)),
+            ]
+        ),
+        # v touches a at (2, 0) while p and q cross at (2, 4)
+        CurveFamily(
+            [
+                _chain("a", (0, 0), (4, 0)),
+                _chain("v", (0, 2), (2, 0), (4, 2)),
+                _chain("p", (0, 5), (4, 3)),
+                _chain("q", (0, 3), (4, 5)),
+            ]
+        ),
+        # b starts inside a, c starts at a's vertex and e at b's end
+        CurveFamily(
+            [
+                _chain("a", (0, 0), (2, 1), (4, 0)),
+                _chain("b", (1, F(1, 2)), (3, 2)),
+                _chain("c", (2, 1), (3, -1), (5, 0)),
+                _chain("e", (3, 2), (4, 1)),
+            ]
+        ),
+        # abscissas beyond float range that differ by thirds, and ordinates
+        # that all round to 0.0
+        CurveFamily(
+            [
+                _chain("a", (big, 0), (big + 2, 2 * t)),
+                _chain("b", (big, 2 * t), (big + 2, 0)),
+                _chain("c", (big + 1, 3 * t), (big + F(7, 3), -t)),
+                _chain("d", (big + F(1, 3), -5 * t), (big + F(2, 3), 5 * t), (big + 3, 4 * t)),
+            ]
+        ),
+        # abscissas 10^-400 apart, which float would tie
+        CurveFamily(
+            [
+                _chain("a", (0, 0), (2 * t, 2)),
+                _chain("b", (0, 2), (2 * t, 0)),
+                _chain("c", (t, 5), (3 * t, -1)),
+                _chain("d", (F(t, 3), -3), (F(5 * t, 3), 7)),
+            ]
+        ),
+    ]
+
+
 def two_grounded_instance(seed):
     """Two grounded families: horizontal 'blue' tracks grounded on the right
     wall, and 'red' dips/peaks grounded on the left wall, each touching one
@@ -794,7 +912,10 @@ def cell_stats_oracle(partition, family):
 
 def count_pair_scans(monkeypatch, *families):
     """Record each call of the pair kernel on two chains of one of the
-    families, as the frozenset of their ids.  A call made inside
+    families, as the frozenset of their ids.  `contacts()` scans the pairs
+    that the broad phase keeps when some chain is not x-monotone, and only
+    the pairs that meet on a vertex abscissa when all are (the sweep finds
+    every other crossing without the kernel).  A call made inside
     `common_points` is not recorded: `contacts()` runs it only on a pair the
     kernel has just scanned, to classify that pair's points."""
     from tanglab import curves, xmono

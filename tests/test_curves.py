@@ -357,12 +357,177 @@ def test_contact_map_keys_and_report_match_dense_recount():
 
 
 def test_contacts_scans_few_more_pairs_than_meet(monkeypatch):
-    fam = gen_grounded_family(3)
+    """On a family that is not x-monotone (grounded k=3 with every chain
+    reversed) the kernel runs on the pairs the broad phase keeps."""
+    fam = CurveFamily([PolyChain(c.cid, c.vertices[::-1]) for c in gen_grounded_family(3).curves])
     calls = helpers.count_pair_scans(monkeypatch, fam)
     contacts = fam.contacts()
     assert len(contacts) == 12_728
     assert len(calls) == len(set(calls)) <= 1.1 * 12_728
     assert set(calls) >= {frozenset(key) for key in contacts}
+
+
+def test_sweep_scans_only_the_touching_pairs(monkeypatch):
+    """On grounded k=3 the sweep hands the kernel exactly the 324 touching
+    pairs, once each and in map order; every crossing comes from a slab."""
+    fam = gen_grounded_family(3)
+    calls = helpers.count_pair_scans(monkeypatch, fam)
+    contacts = fam.contacts()
+    touching = [frozenset(key) for key, (_, data) in contacts.items() if any(kind == "touch" for _, kind in data)]
+    assert len(touching) == 324
+    assert calls == touching
+
+
+def _raw_xmono_family(seed, n=8, size=6):
+    """Unfiltered x-monotone chains on a small grid, so that many pairs meet
+    on a vertex abscissa; half of the families are split in two clusters
+    apart in x, so the sweep's active set empties between them."""
+    rng = random.Random(f"{seed}-rawx")
+    split = rng.random() < 0.5
+    chains = []
+    for i in range(n):
+        xs = sorted(rng.sample(range(size + 1), rng.randint(2, 4)))
+        if split and i % 2:
+            xs = [x + size + 2 for x in xs]
+        chains.append(PolyChain(f"r{i}", [(x, rng.randint(0, size)) for x in xs]))
+    return CurveFamily(chains)
+
+
+def _tie_families():
+    """Hand-made x-monotone families with every kind of meeting on a vertex
+    abscissa, and triple points both there and inside a slab."""
+    return [
+        # shared endpoints, and b starting on a's interior
+        CurveFamily([chain("a", (0, 0), (4, 0)), chain("b", (2, 0), (4, 2)), chain("c", (0, 0), (2, 3), (4, 2))]),
+        # a touch at v's apex, and p, q crossing on that abscissa
+        CurveFamily([chain("a", (0, 0), (4, 0)), chain("v", (0, 2), (2, 0), (4, 2)), chain("p", (0, 5), (4, 3)), chain("q", (0, 3), (4, 5))]),
+        # a collinear overlap
+        CurveFamily([chain("a", (0, 0), (4, 4)), chain("b", (1, 1), (3, 3), (5, 0))]),
+        # a triple point inside a slab: (1, 1) is no vertex abscissa
+        CurveFamily([chain("a", (0, 0), (3, 3)), chain("b", (0, 2), (3, -1)), chain("c", (0, 1), (3, 1))]),
+        # a triple point on an abscissa, where d has a vertex
+        CurveFamily([chain("a", (0, 0), (2, 2)), chain("b", (0, 2), (2, 0)), chain("c", (0, 1), (2, 1)), chain("d", (0, 5), (1, 6), (2, 5))]),
+        # two clusters: the active set is empty between x = 2 and x = 3
+        CurveFamily([chain("a", (0, 0), (2, 2)), chain("b", (0, 2), (2, 0)), chain("c", (3, 0), (5, 2)), chain("d", (3, 2), (5, 0))]),
+    ]
+
+
+def _tie_kinds(fam):
+    """Which kinds of meeting the family's map and report hold."""
+    scale = fam.scale
+    vxs = {v.x for c in fam.curves for v in c.vertices}
+    ends = {c.cid: {curves._grid(c.start, scale), curves._grid(c.end, scale)} for c in fam.curves}
+    starts = {c.cid: curves._grid(c.start, scale) for c in fam.curves}
+    kinds = set()
+    for (i, j), (status, data) in fam.contacts().items():
+        if status == "degenerate":
+            if "overlap" in data:
+                kinds.add("overlap")
+            continue
+        if len(data) > 1:
+            kinds.add("multi")
+        own = {v.x for c in (fam.curve(i), fam.curve(j)) for v in c.vertices}
+        for t, kind in data:
+            x = curves._point(t, scale).x
+            if kind == "touch":
+                kinds.add("touch")
+            elif x in vxs and x not in own:
+                kinds.add("cross on another's abscissa")
+            if t in ends[i] and t in ends[j]:
+                kinds.add("shared endpoint")
+            if (t == starts[i] and t not in ends[j]) or (t == starts[j] and t not in ends[i]):
+                kinds.add("starts on a chain")
+    for (x, _), _ in validate_family(fam).triple_points:
+        kinds.add("triple on an abscissa" if x in vxs else "triple in a slab")
+    spans = sorted((c.start.x, c.end.x) for c in fam.curves)
+    reach = spans[0][1] if spans else None
+    for lo, hi in spans[1:]:
+        if lo > reach:
+            kinds.add("active set empties")
+        reach = max(reach, hi)
+    return kinds
+
+
+def _differential_families():
+    yield from (gen_vee_fan(n) for n in (2, 3, 17, 128))
+    yield from (gen_doubling(k) for k in (1, 4, 6))
+    yield from (gen_grounded_family(k) for k in (1, 2, 3))
+    yield gen_grounded_family(2, eps=F(3, 1000))
+    for seed in range(4):
+        yield helpers.random_precisely1_family(seed)
+        yield helpers.random_segment_family(seed, n_max=24)
+        yield helpers.random_spanning_family(seed)
+        yield helpers.two_grounded_instance(seed)[2]
+    yield from helpers.xmono_hand_families()
+    yield from helpers.xmono_adversarial_families()  # coordinates near 10^400 and 10^-400 among them
+
+
+def _meeting_on_an_abscissa(fam, contacts):
+    """The pairs of a contact map that share a point on a vertex abscissa of
+    the family (an overlap always does)."""
+    vxs = {v.x for c in fam.curves for v in c.vertices}
+    return {
+        frozenset(key)
+        for key, (status, data) in contacts.items()
+        if status == "degenerate" or any(curves._point(t, fam.scale).x in vxs for t, _ in data)
+    }
+
+
+def test_sweep_map_equals_the_pair_path(monkeypatch):
+    """The sweep's map is the pair path's: keys and their order, triples,
+    kinds and degenerate messages, on families rich in ties.  The sweep
+    scans exactly the pairs that meet on a vertex abscissa, which its exact
+    keys find; a key too coarse to tell two ordinates apart would add more."""
+    ties = _tie_families() + [_raw_xmono_family(seed) for seed in range(400)]
+    fams = list(_differential_families()) + ties
+    calls = helpers.count_pair_scans(monkeypatch, *fams)
+    for fam in fams:
+        assert all(c.is_x_monotone() for c in fam.curves)
+        calls.clear()
+        sweep = curves._sweep_contacts(fam.curves, fam.scale)
+        scanned = set(calls)
+        pair = curves._pair_contacts(fam.curves, fam.scale)
+        assert list(sweep.items()) == list(pair.items())
+        assert scanned == _meeting_on_an_abscissa(fam, pair)
+    kinds = set().union(*map(_tie_kinds, ties))
+    assert kinds == {
+        "overlap",
+        "multi",
+        "touch",
+        "cross on another's abscissa",
+        "shared endpoint",
+        "starts on a chain",
+        "triple on an abscissa",
+        "triple in a slab",
+        "active set empties",
+    }
+
+
+def test_contacts_sweeps_exactly_the_all_x_monotone_families(monkeypatch):
+    """contacts() reads the chains, not the family's flag: a family flagged
+    x-monotone that holds a vertical edge takes the pair path, and an
+    x-monotone family flagged otherwise takes the sweep."""
+    taken = []
+    for name in ("_sweep_contacts", "_pair_contacts"):
+        original = getattr(curves, name)
+
+        def recording(cs, scale, original=original, name=name):
+            taken.append(name)
+            return original(cs, scale)
+
+        monkeypatch.setattr(curves, name, recording)
+    vertical = [chain("a", (0, 0), (2, 2)), chain("b", (0, 2), (1, 1), (1, 0), (2, 0)), chain("c", (0, 1), (2, 1))]
+    fam = CurveFamily(vertical, x_monotone=True)
+    contacts = fam.contacts()
+    assert taken == ["_pair_contacts"]
+    keys = _dense_recount(fam)[0]
+    assert list(contacts) == list(keys) == [("a", "b"), ("a", "c"), ("b", "c")]
+    assert all([(curves._point(t, fam.scale), kind) for t, kind in contacts[key][1]] == keys[key][1] for key in keys)
+    taken.clear()
+    fam = CurveFamily(gen_vee_fan(5).curves, x_monotone=False)
+    contacts = fam.contacts()
+    assert taken == ["_sweep_contacts"]
+    assert list(contacts.items()) == list(curves._pair_contacts(fam.curves, fam.scale).items())
 
 
 def _count_common_points(monkeypatch):

@@ -129,124 +129,10 @@ def test_visibility_matches_oracle():
 # --- the sweep -------------------------------------------------------------
 
 
-def _hand_families():
-    """Coincidences the sweep must order: several chains through one point,
-    chains starting at a shared point or on another chain, touching pairs,
-    and several event points on one vertical line."""
-    return [
-        # three segments through (1, 0), and a fourth crossing them elsewhere
-        CurveFamily(
-            [
-                chain("a", (0, -1), (2, 1)),
-                chain("b", (0, 0), (2, 0)),
-                chain("c", (0, 1), (2, -1)),
-                chain("d", (0, 3), (3, -3)),
-            ]
-        ),
-        # three chains starting at (0, 0), crossed by a fourth
-        CurveFamily(
-            [
-                chain("a", (0, 0), (2, 1)),
-                chain("b", (0, 0), (2, -1)),
-                chain("c", (0, 0), (2, 0)),
-                chain("d", (-1, 2), (3, -2)),
-            ]
-        ),
-        # two chains starting on a, and one ending on it
-        CurveFamily(
-            [
-                chain("a", (0, 0), (4, 0)),
-                chain("b", (1, 0), (3, 2)),
-                chain("c", (1, 0), (3, -2)),
-                chain("e", (2, 3), (3, 0)),
-            ]
-        ),
-        # a line touched from above and from below at one point, and a
-        # touching pair that keeps its order
-        CurveFamily(
-            [
-                chain("a", (0, 0), (4, 0)),
-                chain("v", (0, 2), (2, 0), (4, 2)),
-                chain("w", (0, -2), (2, 0), (4, -2)),
-                chain("h", (0, 5), (3, 2), (4, 3)),
-                chain("g", (1, 5), (3, 2), (5, 6)),
-            ]
-        ),
-        # x = 1 holds two crossings, a start and an end
-        CurveFamily(
-            [
-                chain("a", (0, 0), (2, 2)),
-                chain("b", (0, 2), (2, 0)),
-                chain("c", (0, 10), (2, 12)),
-                chain("d", (0, 12), (2, 10)),
-                chain("e", (1, 5), (3, 5)),
-                chain("f", (-1, 7), (1, 7)),
-            ]
-        ),
-    ]
-
-
-def _adversarial_families():
-    """Event orders that a float key would get wrong, or that an int key
-    would split: one abscissa reached through different denominators, a
-    touch and a crossing on one vertical line, chains starting on chains,
-    and coordinates near 10^400 and 10^-400."""
-    big, t = 10**400, F(1, 10**400)
-    return [
-        # a and b cross at (1/3, 1/7), keyed with W = 21; c has a vertex at
-        # (1/3, 2) and d ends at (1/3, -1), keyed with W = 3
-        CurveFamily(
-            [
-                chain("a", (0, 0), (F(2, 3), F(2, 7))),
-                chain("b", (0, F(2, 7)), (F(2, 3), 0)),
-                chain("c", (0, 3), (F(1, 3), 2), (1, 3)),
-                chain("d", (-1, -1), (F(1, 3), -1)),
-            ]
-        ),
-        # v touches a at (2, 0) while p and q cross at (2, 4)
-        CurveFamily(
-            [
-                chain("a", (0, 0), (4, 0)),
-                chain("v", (0, 2), (2, 0), (4, 2)),
-                chain("p", (0, 5), (4, 3)),
-                chain("q", (0, 3), (4, 5)),
-            ]
-        ),
-        # b starts inside a, c starts at a's vertex and e at b's end
-        CurveFamily(
-            [
-                chain("a", (0, 0), (2, 1), (4, 0)),
-                chain("b", (1, F(1, 2)), (3, 2)),
-                chain("c", (2, 1), (3, -1), (5, 0)),
-                chain("e", (3, 2), (4, 1)),
-            ]
-        ),
-        # abscissas beyond float range that differ by thirds, and ordinates
-        # that all round to 0.0
-        CurveFamily(
-            [
-                chain("a", (big, 0), (big + 2, 2 * t)),
-                chain("b", (big, 2 * t), (big + 2, 0)),
-                chain("c", (big + 1, 3 * t), (big + F(7, 3), -t)),
-                chain("d", (big + F(1, 3), -5 * t), (big + F(2, 3), 5 * t), (big + 3, 4 * t)),
-            ]
-        ),
-        # abscissas 10^-400 apart, which float would tie
-        CurveFamily(
-            [
-                chain("a", (0, 0), (2 * t, 2)),
-                chain("b", (0, 2), (2 * t, 0)),
-                chain("c", (t, 5), (3 * t, -1)),
-                chain("d", (F(t, 3), -3), (F(5 * t, 3), 7)),
-            ]
-        ),
-    ]
-
-
 def _sweep_families():
     fams = [helpers.random_segment_family(s, 16) for s in range(6)]
     fams += [helpers.random_spanning_family(s, 12) for s in range(6)]
-    return fams + [gen_vee_fan(8), gen_grounded_family(2)] + _hand_families()
+    return fams + [gen_vee_fan(8), gen_grounded_family(2)] + helpers.xmono_hand_families()
 
 
 def test_sweep_matches_midpoint_sort_oracle():
@@ -261,7 +147,7 @@ def test_int_sweep_matches_the_fraction_reference():
     fams = [helpers.random_segment_family(s, 16) for s in range(4)]
     fams += [helpers.random_spanning_family(s, 12) for s in range(8)]
     fams += [gen_vee_fan(8), gen_doubling(3), gen_grounded_family(2)]
-    fams += _hand_families() + _adversarial_families()
+    fams += helpers.xmono_hand_families() + helpers.xmono_adversarial_families()
     for fam in fams:
         events_by_x, xs, slabs, cells, _, _ = xmono._sweep(fam)
         got = [([c.cid for c in order], gaps) for order, gaps in slabs]
@@ -350,7 +236,7 @@ def _probe_points(part, rng):
 def test_locate_matches_linear_scan_oracle():
     rng = random.Random(7)
     fams = [helpers.random_segment_family(s, 16) for s in range(4)]
-    fams += [helpers.random_spanning_family(0, 8), gen_vee_fan(5)] + _hand_families() + _adversarial_families()
+    fams += [helpers.random_spanning_family(0, 8), gen_vee_fan(5)] + helpers.xmono_hand_families() + helpers.xmono_adversarial_families()
     for fam in fams:
         part = trapezoidal_partition(fam)
         for p in _probe_points(part, rng):
@@ -482,15 +368,19 @@ def _count_common_points(monkeypatch):
 
 
 def _assert_scanned_once(fam, calls):
-    """No pair scanned twice, every pair in the map scanned, and every pair
-    left unscanned disjoint by the Fraction oracle."""
+    """No pair scanned twice, every pair whose entry is degenerate or holds
+    a point that is not a crossing scanned, and every pair absent from the
+    map disjoint by the Fraction oracle."""
     assert len(calls) == len(set(calls))
     scanned = set(calls)
-    assert all(frozenset(key) in scanned for key in fam.contacts())
+    contacts = fam.contacts()
+    for key, (status, data) in contacts.items():
+        if status == "degenerate" or any(kind != "cross" for _, kind in data):
+            assert frozenset(key) in scanned
     cs = fam.curves
     for i, ci in enumerate(cs):
         for cj in cs[i + 1 :]:
-            if frozenset((ci.cid, cj.cid)) not in scanned:
+            if (ci.cid, cj.cid) not in contacts:
                 assert helpers.common_points_oracle(ci, cj) == []
 
 
