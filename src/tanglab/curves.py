@@ -24,23 +24,22 @@ report, and xmono reads that map.  The map holds int grid triples, not
 Points: a lone proper crossing builds no Fraction, and only a pair with a
 hit that is not a proper crossing goes through `common_points`.  Triples
 sort by `_BY_XY`, their Points' order; Points are built after the sort.
-The map of a family whose chains are all x-monotone comes from one sweep
-over the vertex abscissas (`_sweep_contacts`): slab crossings are order
-inversions, and only the pairs meeting on an abscissa reach the kernel.
-Any other family runs the kernel on each pair a broad phase keeps
-(`_pair_contacts`).  Both turn kernel hits into an entry by `_pair_entry`.
+Every family's map comes from one sweep over the vertex abscissas
+(`_sweep_contacts`) of its chains cut into x-monotone pieces and vertical
+segments: slab crossings are order inversions, and only the pairs that tie
+on an abscissa or cross twice at one point reach the kernel, whose hits
+`_pair_entry` turns into an entry.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate
-from math import gcd, isqrt, lcm
-from operator import or_
+from itertools import groupby
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .geom import GeometryError, Point, format_rat
@@ -387,51 +386,6 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
     return [(p, "cross" if proper else classify_contact(c1, c2, p)) for p, proper in pts]
 
 
-def _near_pairs(segment_lists: Sequence[list]) -> List[int]:
-    """Broad phase for `CurveFamily.contacts`: for each chain i, given as
-    its `_int_segments` on one grid, a bitmask of the chains j > i that may
-    meet it.  The x-range is cut into closed buckets with int ends; in each
-    bucket a chain's extent is the hull of its segments' y-ranges there,
-    clipped to the bucket and rounded outward.  A common point lies in a
-    bucket that both chains cover, inside both extents, so a pair left out
-    is disjoint."""
-    n = len(segment_lists)
-    if n < 2:
-        return [0] * n
-    lo = min(s[0] for segs in segment_lists for s in segs)
-    hi = max(s[1] for segs in segment_lists for s in segs)
-    nb = max(1, min(isqrt(n) // 2, hi - lo))
-    ends = [lo + (hi - lo) * k // nb for k in range(nb + 1)]
-    boxes: List[Dict[int, list]] = [{} for _ in range(nb)]  # chain -> [ylo, yhi]
-    for c, segs in enumerate(segment_lists):
-        for minx, maxx, miny, maxy, ax, ay, bx, by, _ in segs:
-            if ax > bx:
-                ax, ay, bx, by = bx, by, ax, ay
-            dx, dy = bx - ax, by - ay
-            for k in range(max(0, bisect_left(ends, minx) - 1), min(nb, bisect_right(ends, maxx))):
-                x0, x1 = max(minx, ends[k]), min(maxx, ends[k + 1])
-                if dx == 0 or (x0 == minx and x1 == maxx):
-                    ylo, yhi = miny, maxy
-                else:
-                    y0, y1 = ay * dx + dy * (x0 - ax), ay * dx + dy * (x1 - ax)
-                    ylo, yhi = min(y0, y1) // dx, -(-max(y0, y1) // dx)
-                box = boxes[k].setdefault(c, [ylo, yhi])
-                box[0], box[1] = min(box[0], ylo), max(box[1], yhi)
-    masks = [0] * n
-    for bucket in boxes:
-        by_lo = sorted(bucket, key=lambda c: bucket[c][0])
-        by_hi = sorted(bucket, key=lambda c: bucket[c][1], reverse=True)
-        los = [bucket[c][0] for c in by_lo]
-        his = [bucket[c][1] for c in reversed(by_hi)]
-        # below[m]: the chains with the m lowest low ends; above[m]: all
-        # but those with the m lowest high ends
-        below = list(accumulate((1 << c for c in by_lo), or_, initial=0))
-        above = list(accumulate((1 << c for c in by_hi), or_, initial=0))[::-1]
-        for c, (ylo, yhi) in bucket.items():
-            masks[c] |= below[bisect_right(los, yhi)] & above[bisect_left(his, ylo)]
-    return [m & -(2 << i) for i, m in enumerate(masks)]
-
-
 def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: int) -> Optional[tuple]:
     """One pair's contact-map entry from the pair kernel, None if disjoint.
     A lone proper crossing is stored as the kernel found it, several proper
@@ -450,60 +404,77 @@ def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: i
     return None
 
 
-def _pair_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str], tuple]:
-    """The contact map of any family: the pair kernel on each pair that
-    `_near_pairs` keeps, in family order."""
-    result: Dict[Tuple[str, str], tuple] = {}
-    segs = [c.scaled_segments(scale) for c in cs]
-    for i, mask in enumerate(_near_pairs(segs)):
-        # the set bits of mask, low to high
-        for j in [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]:
-            entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
-            if entry is not None:
-                result[(cs[i].cid, cs[j].cid)] = entry
-    return result
+def _pieces(segs: list) -> List[list]:
+    """A chain's `_int_segments`, taken in chain order, cut into maximal
+    x-monotone runs and vertical segments, each piece a list of segments
+    with ax <= bx: a run whose x decreases is stored reversed, its segments
+    flipped."""
+    runs: List[Tuple[int, list]] = []  # (sign of bx - ax, segments)
+    for s in sorted(segs, key=lambda s: s[8]):
+        d = (s[6] > s[4]) - (s[6] < s[4])
+        if d and runs and runs[-1][0] == d:
+            runs[-1][1].append(s)
+        else:
+            runs.append((d, [s]))
+    return [ss if d >= 0 else [(*s[:4], s[6], s[7], s[4], s[5], s[8]) for s in reversed(ss)] for d, ss in runs]
 
 
 def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str], tuple]:
-    """The contact map of a family of x-monotone chains, from one pass over
-    its distinct vertex abscissas, left to right.  Inside the open slab
-    between two consecutive abscissas every active chain is one segment, so
-    the pairs that cross there are the inversions between the vertical order
-    at the slab's left end and that at its right end; an insertion sort
-    finds them, and each crossing's triple is computed at its swap.  The
-    orders compare int keys floor(y * 2^S), S twice the bit length of the
-    widest segment's dx: two ordinates at an int abscissa have denominators
-    below 2^(S/2), so they differ by more than 2^-S unless equal, and the
-    keys are exact in order and in equality.  A pair with equal keys at some
-    abscissa meets there (a touch, a vertex or endpoint contact, a crossing
-    on the abscissa or an overlap) and gets `_pair_entry`, as in
-    `_pair_contacts`; every other pair meets only in its slab crossings."""
-    n = len(cs)
-    if n < 2:
+    """The contact map of a family, from one pass over its distinct vertex
+    abscissas, left to right.  Each chain is cut into x-monotone pieces and
+    vertical segments (`_pieces`).  Inside the open slab between two
+    consecutive abscissas every active piece is one segment, so the pairs
+    that cross there are the inversions between the vertical order at the
+    slab's left end and that at its right end; an insertion sort finds them,
+    and each crossing's triple is computed at its swap.  The orders compare
+    int keys floor(y * 2^S), S twice the bit length of the widest segment's
+    dx: two ordinates at an int abscissa have denominators below 2^(S/2), so
+    they differ by more than 2^-S unless equal, and the keys are exact in
+    order and in equality.  A vertical segment (x, ylo, yhi) ties with each
+    piece whose key at x lies in [ylo * 2^S, yhi * 2^S] and with each
+    vertical segment at x that overlaps it.  A pair of chains with a tie
+    (equal keys at some abscissa: a touch, a vertex or endpoint contact, a
+    crossing on the abscissa or an overlap) or with a slab crossing found
+    twice (at a self-crossing point) gets `_pair_entry`; every other pair
+    meets only in its slab crossings.  A chain's pairs with itself are
+    dropped."""
+    if len(cs) < 2:
         return {}
-    segs = [c.scaled_segments(scale) for c in cs]  # x-monotone: in chain order, ax < bx
+    segs = [c.scaled_segments(scale) for c in cs]
     shift = 2 * max(s[1] - s[0] for ss in segs for s in ss).bit_length()
 
     def line_of(s):  # (A, B, dx, s): s's key at abscissa x is (A + B*x) // dx
         _, _, _, _, ax, ay, bx, by, _ = s
         return (ay * (bx - ax) - (by - ay) * ax) << shift, (by - ay) << shift, bx - ax, s
 
-    starts: Dict[int, List[int]] = {}  # abscissa -> chains starting there
-    ends: Dict[int, List[int]] = {}  # abscissa -> chains with a segment ending there
+    pieces: List[list] = []  # numbered chain by chain
+    owner: List[int] = []  # each piece's chain
     for c, ss in enumerate(segs):
+        for piece in _pieces(ss):
+            pieces.append(piece)
+            owner.append(c)
+    starts: Dict[int, List[int]] = {}  # abscissa -> pieces starting there
+    ends: Dict[int, List[int]] = {}  # abscissa -> pieces with a segment ending there
+    walls: Dict[int, List[int]] = {}  # abscissa -> vertical pieces there, by ylo
+    for c, ss in enumerate(pieces):
+        if ss[0][0] == ss[0][1]:
+            walls.setdefault(ss[0][0], []).append(c)
+            continue
         starts.setdefault(ss[0][0], []).append(c)
         for s in ss:
             ends.setdefault(s[1], []).append(c)
-    at = [0] * n  # each active chain's segment over the current slab
-    line: list = [None] * n  # and that segment's `line_of`
-    key = [0] * n
-    order: List[int] = []  # active chains, bottom to top just right of the last abscissa
-    # met[i]: j, t, j, t, ... for the pairs (i, j > i) in sweep order, t the
-    # triple of a slab crossing, or None where the keys are equal at an abscissa
-    met: List[Optional[list]] = [[] for _ in cs]
-    for x in sorted(ends.keys() | starts.keys()):
+    for column in walls.values():
+        column.sort(key=lambda c: pieces[c][0][2])
+    at = [0] * len(pieces)  # each active piece's segment over the current slab
+    line: list = [None] * len(pieces)  # and that segment's `line_of`
+    key = [0] * len(pieces)
+    order: List[int] = []  # active pieces, bottom to top just right of the last abscissa
+    # met[p]: q, t, q, t, ... for the pairs (p, q > p) in sweep order, t the
+    # triple of a slab crossing, or None where they tie at an abscissa
+    met: List[Optional[list]] = [[] for _ in pieces]
+    for x in sorted(ends.keys() | starts.keys() | walls.keys()):
         # keys at x; the inversions against the order left of x are the
-        # crossings in the slab, and each chain equal to one below it ties
+        # crossings in the slab, and each piece equal to one below it ties
         top = 0  # the largest key so far
         for k, c in enumerate(order):
             a, b, d, _ = line[c]
@@ -524,7 +495,7 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str]
                 met[min(c, e)] += max(c, e), None
                 k -= 1
         for c in starts.get(x, ()):
-            a, b, d, _ = line[c] = line_of(segs[c][0])
+            a, b, d, _ = line[c] = line_of(pieces[c][0])
             kc = key[c] = (a + b * x) // d
             k = m = bisect_left(order, kc, key=key.__getitem__)
             while m < len(order) and key[order[m]] == kc:
@@ -532,28 +503,47 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str]
                 met[min(c, e)] += max(c, e), None
                 m += 1
             order.insert(k, c)
+        # a vertical piece ties with the pieces whose keys at x lie in its
+        # y-range, and with the vertical pieces above it that it overlaps
+        column = walls.get(x, ())
+        for k, c in enumerate(column):
+            _, _, lo, hi = pieces[c][0][:4]
+            m = bisect_left(order, lo << shift, key=key.__getitem__)
+            while m < len(order) and key[order[m]] <= hi << shift:
+                e = order[m]
+                met[min(c, e)] += max(c, e), None
+                m += 1
+            for e in column[k + 1 :]:
+                if pieces[e][0][2] > hi:
+                    break
+                met[min(c, e)] += max(c, e), None
         # the segments over the next slab
         stops = set()
         for c in ends.get(x, ()):
             at[c] += 1
-            if at[c] == len(segs[c]):
+            if at[c] == len(pieces[c]):
                 stops.add(c)
             else:
-                line[c] = line_of(segs[c][at[c]])
+                line[c] = line_of(pieces[c][at[c]])
         if stops:
             order = [c for c in order if c not in stops]
     result: Dict[Tuple[str, str], tuple] = {}
-    for i, row in enumerate(met):
-        met[i] = None  # so that the rows and the map are never held in full at once
+    for i, ps in groupby(range(len(pieces)), owner.__getitem__):  # each chain's pieces
         hits: Dict[int, list] = {}
-        for j, t in zip(row[::2], row[1::2]):
-            hits.setdefault(j, []).append(t)
+        for p in ps:
+            row, met[p] = met[p], None  # so that the rows and the map are never held in full at once
+            for q, t in zip(row[::2], row[1::2]):
+                j = owner[q]
+                if j != i:
+                    hits.setdefault(j, []).append(t)
         for j in sorted(hits):
             ts = hits[j]
-            if None in ts:
+            if len(ts) == 1 and ts[0] is not None:  # one slab crossing
+                entry = "ok", ((ts[0], "cross"),)
+            elif None in ts or len(set(ts)) < len(ts):
                 entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
-            else:  # slab crossings, found left to right: already in `_BY_XY` order
-                entry = "ok", tuple((t, "cross") for t in ts)
+            else:  # distinct slab crossings
+                entry = "ok", tuple((t, "cross") for t in sorted(ts, key=_BY_XY))
             if entry is not None:
                 result[(cs[i].cid, cs[j].cid)] = entry
     return result
@@ -612,20 +602,16 @@ class CurveFamily:
         """Pairwise contact map {(id_i, id_j): ('ok', ((t, kind), ...)) or
         ('degenerate', reason)} for i < j in family order; t is a common
         point's reduced int triple on the grid of `self.scale` (`_grid`).
-        A pair with no entry is disjoint: it shares no point.  When every
-        chain is x-monotone (`PolyChain.is_x_monotone`, not the family's
-        flag) one sweep finds the crossings inside the slabs between vertex
-        abscissas (`_sweep_contacts`), and the pair kernel runs only on the
-        pairs meeting on an abscissa; otherwise it runs on the pairs that
-        `_near_pairs` keeps (`_pair_contacts`).  Proper crossings are stored
-        as found; a pair with any other hit (a touch, a vertex or endpoint
-        contact) is classified by `common_points`.  Both give the same map,
-        key order included."""
+        A pair with no entry is disjoint: it shares no point.  One sweep
+        over the chains cut into x-monotone pieces (`_sweep_contacts`)
+        finds the crossings inside the slabs between vertex abscissas, and
+        the pair kernel runs only on the pairs that tie on an abscissa or
+        cross twice at one point.  Proper crossings are stored as found; a
+        pair with any other hit (a touch, a vertex or endpoint contact) is
+        classified by `common_points`.  The map is the kernel's on every
+        pair, key order included."""
         if self._contacts is None:
-            if all(c.is_x_monotone() for c in self.curves):
-                self._contacts = _sweep_contacts(self.curves, self.scale)
-            else:
-                self._contacts = _pair_contacts(self.curves, self.scale)
+            self._contacts = _sweep_contacts(self.curves, self.scale)
         return self._contacts
 
     def subfamily(self, ids: Sequence[str]) -> "CurveFamily":

@@ -331,19 +331,20 @@ def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
     chains (`_pair_hits`).  Between two breakpoints the chain stays
     inside one slab and meets no defining chain, so the piece meets the one
     cell that holds its midpoint, found by bisecting that slab's order.  The
-    endpoints go through `locate`.  A chain of the partition itself lies on
-    cell boundaries only and is skipped.  Raises ValueError on a probe chain
+    endpoints go through `locate`.  A chain with the vertices of a chain of
+    the partition, whatever its id, lies on cell boundaries only and is
+    skipped.  Raises ValueError on a probe chain
     that is not x-monotone and DegeneracyError on one that overlaps a
     defining chain."""
     defining = partition.defining
     scale = lcm(defining.scale, family.scale)
     up = scale // defining.scale  # (X, Y, W) on this grid is (X, Y, W * up) on the partition's
     events = [(X * up, W, True) for X, W in partition._xw]  # (X, W, is an event): abscissa X/W
-    own = set(defining.curves)
+    own = {d.vertices for d in defining.curves}
     meets: Dict[int, Set[str]] = {}
     short: Dict[int, Set[str]] = {}
     for c in family.curves:
-        if c in own:
+        if c.vertices in own:
             continue
         if not c.is_x_monotone():
             raise ValueError(f"{c.cid} is not x-monotone")
@@ -351,8 +352,6 @@ def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
         lo, hi = segs[0][4], segs[-1][6]
         cuts = set()  # abscissas x/w of the contacts inside the span
         for d in defining.curves:
-            if d.cid == c.cid:
-                continue
             hits = _pair_hits((c.cid, d.cid), segs, d.scaled_segments(scale))
             cuts.update((x, w) for (x, _, w), _ in hits if lo * w < x < hi * w)
         # breakpoints in order, events and contacts merged

@@ -882,13 +882,14 @@ def cell_stats_oracle(partition, family):
 
     meets, short = {}, {}
     xs = partition.xs
+    own = [d.vertices for d in partition.defining.curves]
     for c in family.curves:
+        if c.vertices in own:  # a chain of the partition: on cell boundaries only
+            continue
         lo, hi = c.start.x, c.end.x
         bps = {lo, hi}
         bps.update(x for x in xs if lo < x < hi)
         for d in partition.defining.curves:
-            if d.cid == c.cid:
-                continue
             for p, _ in common_points(c, d):
                 if lo < p.x < hi:
                     bps.add(p.x)
@@ -910,14 +911,30 @@ def cell_stats_oracle(partition, family):
     return out
 
 
+def dense_contacts(family):
+    """The contact map as `_pair_entry` gives it on every pair of the
+    family, in family order, with nothing filtered out: the reference that
+    the sweep's map must equal, key order included."""
+    from tanglab import curves
+
+    cs, scale = family.curves, family.scale
+    segs = [c.scaled_segments(scale) for c in cs]
+    out = {}
+    for i, j in combinations(range(len(cs)), 2):
+        entry = curves._pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
+        if entry is not None:
+            out[(cs[i].cid, cs[j].cid)] = entry
+    return out
+
+
 def count_pair_scans(monkeypatch, *families):
     """Record each call of the pair kernel on two chains of one of the
-    families, as the frozenset of their ids.  `contacts()` scans the pairs
-    that the broad phase keeps when some chain is not x-monotone, and only
-    the pairs that meet on a vertex abscissa when all are (the sweep finds
-    every other crossing without the kernel).  A call made inside
-    `common_points` is not recorded: `contacts()` runs it only on a pair the
-    kernel has just scanned, to classify that pair's points."""
+    families, as the frozenset of their ids.  `contacts()` scans only the
+    pairs that tie on a vertex abscissa (meet there, or through a vertical
+    segment) or cross twice at one point; the sweep finds every other
+    crossing without the kernel.  A call made inside `common_points` is not
+    recorded: `contacts()` runs it only on a pair the kernel has just
+    scanned, to classify that pair's points."""
     from tanglab import curves, xmono
 
     owner = {id(c.scaled_segments(f.scale)): c.cid for f in families for c in f.curves}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 import random
 
 import pytest
@@ -314,8 +315,8 @@ def _map_families():
     yield gen_vee_fan(8)
     yield gen_doubling(3)
     yield gen_grounded_family(2)
-    # large enough for several buckets of the contacts broad phase
-    yield gen_vee_fan(40)  # crossings between the int bucket ends
+    # larger families: many slabs, long active orders
+    yield gen_vee_fan(40)
     yield gen_grounded_family(3)
     for seed in range(2):
         yield helpers.random_segment_family(seed, n_max=64)
@@ -358,13 +359,16 @@ def test_contact_map_keys_and_report_match_dense_recount():
 
 def test_contacts_scans_few_more_pairs_than_meet(monkeypatch):
     """On a family that is not x-monotone (grounded k=3 with every chain
-    reversed) the kernel runs on the pairs the broad phase keeps."""
+    reversed, so each chain is one piece stored reversed) the kernel runs on
+    exactly the 324 touching pairs, once each and in map order, as on the
+    forward family."""
     fam = CurveFamily([PolyChain(c.cid, c.vertices[::-1]) for c in gen_grounded_family(3).curves])
     calls = helpers.count_pair_scans(monkeypatch, fam)
     contacts = fam.contacts()
     assert len(contacts) == 12_728
-    assert len(calls) == len(set(calls)) <= 1.1 * 12_728
-    assert set(calls) >= {frozenset(key) for key in contacts}
+    touching = [frozenset(key) for key, (_, data) in contacts.items() if any(kind == "touch" for _, kind in data)]
+    assert len(touching) == 324
+    assert calls == touching
 
 
 def test_sweep_scans_only_the_touching_pairs(monkeypatch):
@@ -474,10 +478,11 @@ def _meeting_on_an_abscissa(fam, contacts):
 
 
 def test_sweep_map_equals_the_pair_path(monkeypatch):
-    """The sweep's map is the pair path's: keys and their order, triples,
-    kinds and degenerate messages, on families rich in ties.  The sweep
-    scans exactly the pairs that meet on a vertex abscissa, which its exact
-    keys find; a key too coarse to tell two ordinates apart would add more."""
+    """On x-monotone families rich in ties the sweep's map is the pair
+    kernel's on every pair (`helpers.dense_contacts`): keys and their order,
+    triples, kinds and degenerate messages.  The sweep scans exactly the
+    pairs that meet on a vertex abscissa, which its exact keys find; a key
+    too coarse to tell two ordinates apart would add more."""
     ties = _tie_families() + [_raw_xmono_family(seed) for seed in range(400)]
     fams = list(_differential_families()) + ties
     calls = helpers.count_pair_scans(monkeypatch, *fams)
@@ -486,9 +491,9 @@ def test_sweep_map_equals_the_pair_path(monkeypatch):
         calls.clear()
         sweep = curves._sweep_contacts(fam.curves, fam.scale)
         scanned = set(calls)
-        pair = curves._pair_contacts(fam.curves, fam.scale)
-        assert list(sweep.items()) == list(pair.items())
-        assert scanned == _meeting_on_an_abscissa(fam, pair)
+        dense = helpers.dense_contacts(fam)
+        assert list(sweep.items()) == list(dense.items())
+        assert scanned == _meeting_on_an_abscissa(fam, dense)
     kinds = set().union(*map(_tie_kinds, ties))
     assert kinds == {
         "overlap",
@@ -503,31 +508,133 @@ def test_sweep_map_equals_the_pair_path(monkeypatch):
     }
 
 
-def test_contacts_sweeps_exactly_the_all_x_monotone_families(monkeypatch):
+def test_contacts_sweeps_exactly_the_all_x_monotone_families():
     """contacts() reads the chains, not the family's flag: a family flagged
-    x-monotone that holds a vertical edge takes the pair path, and an
-    x-monotone family flagged otherwise takes the sweep."""
-    taken = []
-    for name in ("_sweep_contacts", "_pair_contacts"):
-        original = getattr(curves, name)
-
-        def recording(cs, scale, original=original, name=name):
-            taken.append(name)
-            return original(cs, scale)
-
-        monkeypatch.setattr(curves, name, recording)
+    x-monotone that holds a vertical edge and an x-monotone family flagged
+    otherwise both get the map of `common_points` on every pair."""
     vertical = [chain("a", (0, 0), (2, 2)), chain("b", (0, 2), (1, 1), (1, 0), (2, 0)), chain("c", (0, 1), (2, 1))]
     fam = CurveFamily(vertical, x_monotone=True)
     contacts = fam.contacts()
-    assert taken == ["_pair_contacts"]
     keys = _dense_recount(fam)[0]
     assert list(contacts) == list(keys) == [("a", "b"), ("a", "c"), ("b", "c")]
     assert all([(curves._point(t, fam.scale), kind) for t, kind in contacts[key][1]] == keys[key][1] for key in keys)
-    taken.clear()
     fam = CurveFamily(gen_vee_fan(5).curves, x_monotone=False)
-    contacts = fam.contacts()
-    assert taken == ["_sweep_contacts"]
-    assert list(contacts.items()) == list(curves._pair_contacts(fam.curves, fam.scale).items())
+    assert list(fam.contacts().items()) == list(helpers.dense_contacts(fam).items())
+
+
+def _raw_jordan_family(seed, n=8, size=5):
+    """Unfiltered chains on a small grid with vertical edges, turn-backs and
+    self-crossings; in a third of the families every other chain is moved
+    right, so the sweep's active set can empty between the two groups."""
+    rng = random.Random(f"{seed}-jordan")
+    split = rng.random() < 1 / 3
+    chains = []
+    for i in range(n):
+        verts, k = [(rng.randint(0, size), rng.randint(0, size))], rng.randint(2, 6)
+        while len(verts) < k:
+            x = verts[-1][0] if rng.random() < 0.3 else rng.randint(0, size)
+            v = (x, rng.randint(0, size))
+            if v != verts[-1]:
+                verts.append(v)
+        if split and i % 2:
+            verts = [(x + size + 2, y) for x, y in verts]
+        chains.append(PolyChain(f"j{i}", verts))
+    return CurveFamily(chains)
+
+
+def _reversed(fam, every=1):
+    """The family with chains 0, every, 2*every, ... reversed."""
+    return CurveFamily(
+        [PolyChain(c.cid, c.vertices[::-1] if k % every == 0 else c.vertices) for k, c in enumerate(fam.curves)]
+    )
+
+
+def _through(segs, t):
+    """The int segments among `segs` that pass through the grid triple t."""
+    X, Y, W = t
+    return [
+        s
+        for s in segs
+        if s[0] * W <= X <= s[1] * W
+        and s[2] * W <= Y <= s[3] * W
+        and (s[6] - s[4]) * (Y - s[5] * W) == (s[7] - s[5]) * (X - s[4] * W)
+    ]
+
+
+def _jordan_kinds(fam, contacts):
+    """(kinds, pairs): the kinds of meeting that the family's map holds, and
+    the pairs the kernel must scan: those that are degenerate, meet on a
+    vertex abscissa, or meet off the abscissas at a point on two segments
+    of one chain, which the sweep finds as one crossing twice."""
+    segs = {c.cid: c.scaled_segments(fam.scale) for c in fam.curves}
+    vxs = {x for ss in segs.values() for s in ss for x in s[:2]}
+    turns = {}  # chain -> its vertices where x turns back, as grid triples
+    for cid, ss in segs.items():
+        ss = sorted(ss, key=lambda s: s[8])
+        turns[cid] = {(s[6], s[7], 1) for s, u in zip(ss, ss[1:]) if (s[6] - s[4]) * (u[6] - u[4]) < 0}
+    kinds, scans = set(), set()
+    for (i, j), (status, data) in contacts.items():
+        if status == "degenerate":
+            scans.add(frozenset((i, j)))
+            if "overlap" in data and any(s[0] == s[1] for s in segs[i]):
+                walls = {(s[0], s[2], s[3]) for s in segs[i] if s[0] == s[1]}
+                if any(s[0] == s[1] == x and lo < s[3] and s[2] < hi for x, lo, hi in walls for s in segs[j]):
+                    kinds.add("vertical overlap")
+            continue
+        for t, _ in data:
+            on_i, on_j = _through(segs[i], t), _through(segs[j], t)
+            if t in turns[i] | turns[j]:
+                kinds.add("turns on a chain")
+            for a, b in ((on_i, on_j), (on_j, on_i)):
+                if any(s[0] == s[1] for s in a) and any(s[0] < s[1] for s in b):
+                    kinds.add("vertical on a sloped chain")
+            if t[0] % t[2] == 0 and t[0] // t[2] in vxs:
+                scans.add(frozenset((i, j)))
+            elif len(on_i) > 1 or len(on_j) > 1:
+                scans.add(frozenset((i, j)))
+                # two segments of one chain that cross there, not a turn-back onto itself
+                if any(
+                    (s[6] - s[4]) * (u[7] - u[5]) != (s[7] - s[5]) * (u[6] - u[4])
+                    for on in (on_i, on_j)
+                    for s, u in combinations(on, 2)
+                ):
+                    kinds.add("crossing repeated at a self-crossing point")
+    spans = sorted((min(s[0] for s in ss), max(s[1] for s in ss)) for ss in segs.values())
+    reach = spans[0][1] if spans else None
+    for lo, hi in spans[1:]:
+        if lo > reach:
+            kinds.add("active set empties")
+        reach = max(reach, hi)
+    return kinds, scans
+
+
+def test_sweep_map_equals_the_pair_kernel_on_families_that_are_not_x_monotone(monkeypatch):
+    """Chains cut into x-monotone pieces and vertical segments give the map
+    of the pair kernel on every pair (`helpers.dense_contacts`), key order,
+    triples, kinds and degenerate messages included, on unfiltered chains
+    and on reversed and half-reversed generator families; the kernel scans
+    exactly the pairs that tie on an abscissa or cross twice at one point."""
+    fams = [_raw_jordan_family(seed) for seed in range(300)]
+    fams += [_reversed(gen_grounded_family(k)) for k in (1, 2)] + [_reversed(gen_grounded_family(3), 2)]
+    fams += [_reversed(gen_vee_fan(17)), _reversed(gen_vee_fan(16), 2), _reversed(gen_doubling(4), 2)]
+    calls = helpers.count_pair_scans(monkeypatch, *fams)
+    kinds = set()
+    for fam in fams:
+        calls.clear()
+        contacts = fam.contacts()
+        scanned = set(calls)
+        assert list(contacts.items()) == list(helpers.dense_contacts(fam).items())
+        found, scans = _jordan_kinds(fam, contacts)
+        assert scanned == scans
+        kinds |= found
+    assert not all(c.is_x_monotone() for fam in fams for c in fam.curves)
+    assert kinds == {
+        "vertical overlap",
+        "vertical on a sloped chain",
+        "turns on a chain",
+        "crossing repeated at a self-crossing point",
+        "active set empties",
+    }
 
 
 def _count_common_points(monkeypatch):

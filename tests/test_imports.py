@@ -48,3 +48,21 @@ def test_cli_import_leaves_networkx_unloaded():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_src_imports_no_name_it_never_uses():
+    """Every name a module binds by import is read somewhere in it; only
+    `__init__.py` imports names to re-export them."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, line, name) for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -424,7 +424,7 @@ def test_cell_stats_matches_oracle_on_random_families():
     rng = random.Random(11)
     for seed in range(5):
         for fam in (helpers.random_segment_family(seed, 24), helpers.random_spanning_family(seed, 10)):
-            # the same chains as new objects: walked, not skipped as chains of the partition
+            # the same chains as new objects: skipped by their vertices, as chains of the partition
             copies = CurveFamily([PolyChain(c.cid, c.vertices) for c in fam.curves])
             for _ in range(3):
                 ids = sorted(rng.sample(fam.ids, rng.randint(1, min(8, len(fam)))))
@@ -476,6 +476,23 @@ def test_cell_stats_matches_oracle_at_vertices_walls_and_curves():
     assert stats == helpers.cell_stats_oracle(part, probes)
     assert [s.cell for s in stats if "far" in s.short_ids] == [part.locate(pt(5, 0))]
     assert not any({"a", "b", "c"} & set(s.long_ids + s.short_ids) for s in stats)
+
+
+def test_cell_stats_walks_a_probe_named_like_a_defining_chain():
+    """Only the partition's own chains are skipped, by identity or by
+    vertices: a different probe that shares a defining chain's id still
+    meets the cells on both sides of that chain."""
+    part = trapezoidal_partition(CurveFamily([chain("a", (0, 0), (10, 0)), chain("w", (0, 5), (10, 5))]))
+    stats = {}
+    for cid in ("a", "b"):
+        probes = CurveFamily([chain(cid, (-5, -3), (15, 8))])
+        stats[cid] = cell_stats(part, probes)
+        assert stats[cid] == helpers.cell_stats_oracle(part, probes)
+    cells = {cid: [s.cell for s in stats[cid] if cid in s.long_ids] for cid in stats}
+    assert cells["a"] == cells["b"] and part.locate(pt(5, -1)) in cells["a"]
+    # a copy of a defining chain under another id lies on cell boundaries only
+    copy = CurveFamily([chain("c", (0, 0), (10, 0))])
+    assert cell_stats(part, copy) == helpers.cell_stats_oracle(part, copy) == cell_stats(part, CurveFamily([]))
 
 
 def test_cell_stats_rejects_a_probe_that_is_not_x_monotone():
