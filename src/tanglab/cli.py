@@ -28,7 +28,7 @@ from .bipartite import (
     near_regularize,
     prune_min_degree,
 )
-from .curves import _witness, tangency_graph, validate_family
+from .curves import _witnesses, tangency_graph, validate_family
 from .generators import (
     gen_doubling,
     gen_grounded_family,
@@ -101,6 +101,7 @@ def _cmd_generate(args) -> int:
 def _cmd_validate(args) -> int:
     fam = load_family(args.infile)
     rep = validate_family(fam)
+    witnesses = [] if rep.ok else _witnesses(fam, rep)
     _emit(
         args,
         n=rep.n,
@@ -113,7 +114,7 @@ def _cmd_validate(args) -> int:
         crossings=rep.crossing_count,
         disjoint=rep.disjoint_count,
         summary=rep.summary(),
-        **({} if rep.ok else {"witness": _witness(fam, rep)}),
+        **({"witness": witnesses[0], "witnesses": witnesses} if witnesses else {}),
     )
     return 0 if rep.ok else PROPERTY_FAIL
 
@@ -260,7 +261,7 @@ def _cmd_scaling_report(args) -> int:
         fam = gen(v)
         n = len(fam)
         t = tangency_graph(fam).edge_count
-        rows.append((n, t, t / n ** (4 / 3), t / n ** 1.5))
+        rows.append((n, t, _ratio(t, n, 3, 4), _ratio(t, n, 2, 3)))
     lines = ["# invocation: " + " ".join(args._invocation), "n,t,t_over_n43,t_over_n32"]
     lines += [f"{n},{t},{a!r},{b!r}" for n, t, a, b in rows]
     if args.out:
@@ -268,6 +269,14 @@ def _cmd_scaling_report(args) -> int:
     else:
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
+
+
+def _ratio(t: int, n: int, k: int, m: int) -> float:
+    """t / n**(m/k): the nearest float to it when t**k / n**m is the k-th
+    power of a rational, and else the float quotient."""
+    q = Fraction(t**k, n**m)
+    r = Fraction(round(q.numerator ** (1 / k)), round(q.denominator ** (1 / k)))
+    return float(r) if r**k == q else t / n ** (m / k)
 
 
 def _int_list(text) -> List[int]:

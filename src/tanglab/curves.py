@@ -19,16 +19,16 @@ for pairs of chains and for `PolyChain.is_simple` alike, on a common
 integer grid.  It reports int homogeneous points, which `common_points`
 turns into exact Fractions.  Classification runs on ints too: cross/touch,
 the tangency type and the position along a chain all read `_arcs`, the int
-arcs leaving a point.  A family caches its contact map and its validation
-report, and xmono reads that map.  The map holds int grid triples, not
-Points: a lone proper crossing builds no Fraction, and only a pair with a
-hit that is not a proper crossing goes through `common_points`.  Triples
-sort by `_BY_XY`, their Points' order; Points are built after the sort.
-Every family's map comes from one sweep over the vertex abscissas
-(`_sweep_contacts`) of its chains cut into x-monotone pieces and vertical
-segments: slab crossings are order inversions, and only the pairs that tie
-on an abscissa or cross twice at one point reach the kernel, whose hits
-`_pair_entry` turns into an entry.
+arcs leaving a point.  A family caches its contact map, keyed by ints and
+holding int grid triples (a lone proper crossing is its bare triple, and
+builds no Fraction), and xmono reads that map.  Only a pair with a hit that
+is not a proper crossing goes through `common_points`.  Triples sort by
+`_BY_XY`, their Points' order; Points are built after the sort.  Every
+family's map and triple points come from one sweep over the vertex
+abscissas (`_sweep_contacts`) of its chains cut into x-monotone pieces and
+vertical segments: slab crossings are order inversions, and only the pairs
+that tie on an abscissa or cross twice at one point reach the kernel, whose
+hits `_pair_entry` turns into an entry.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import combinations, groupby
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -386,22 +386,30 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
     return [(p, "cross" if proper else classify_contact(c1, c2, p)) for p, proper in pts]
 
 
-def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: int) -> Optional[tuple]:
-    """One pair's contact-map entry from the pair kernel, None if disjoint.
-    A lone proper crossing is stored as the kernel found it, several proper
-    crossings in `common_points`' order; a pair with any other hit (a touch,
-    a vertex or endpoint contact) is classified by `common_points`."""
+def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: int):
+    """One pair's contact-map entry from the pair kernel, None if disjoint
+    (see `CurveFamily.contacts`).  Proper crossings are stored as the kernel
+    found them, a lone one bare; a pair with any other hit (a touch, a
+    vertex or endpoint contact) is classified by `common_points`."""
     try:
         hits = _pair_hits((c1.cid, c2.cid), segs1, segs2)
         if len(hits) == 1 and hits[0][1]:
-            return "ok", ((hits[0][0], "cross"),)
+            return hits[0][0]
         if hits and all(proper for _, proper in hits):  # crossings need no classification
-            return "ok", tuple((t, "cross") for t in sorted((t for t, _ in hits), key=_BY_XY))
+            return tuple((t, "cross") for t in sorted((t for t, _ in hits), key=_BY_XY))
         if hits:
-            return "ok", tuple((_grid(p, scale), kind) for p, kind in common_points(c1, c2, scale))
+            return tuple((_grid(p, scale), kind) for p, kind in common_points(c1, c2, scale))
     except DegeneracyError as e:
-        return "degenerate", str(e)
+        return str(e)
     return None
+
+
+def _hits(entry) -> tuple:
+    """The (triple, kind) pairs of a contact-map entry; none for None or a
+    degenerate pair's message."""
+    if entry is None or type(entry) is str:
+        return ()
+    return ((entry, "cross"),) if type(entry[0]) is int else entry
 
 
 def _pieces(segs: list) -> List[list]:
@@ -419,8 +427,9 @@ def _pieces(segs: list) -> List[list]:
     return [ss if d >= 0 else [(*s[:4], s[6], s[7], s[4], s[5], s[8]) for s in reversed(ss)] for d, ss in runs]
 
 
-def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str], tuple]:
-    """The contact map of a family, from one pass over its distinct vertex
+def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, object], Dict[tuple, tuple]]:
+    """The contact map of a family and its triple points, from one pass over
+    its distinct vertex
     abscissas, left to right.  Each chain is cut into x-monotone pieces and
     vertical segments (`_pieces`).  Inside the open slab between two
     consecutive abscissas every active piece is one segment, so the pairs
@@ -437,9 +446,12 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str]
     crossing on the abscissa or an overlap) or with a slab crossing found
     twice (at a self-crossing point) gets `_pair_entry`; every other pair
     meets only in its slab crossings.  A chain's pairs with itself are
-    dropped."""
+    dropped.  The triple points map each point on two non-degenerate pairs
+    to the sorted ids of their chains.  Inside a slab such a point is found
+    as a triple that the slab's swaps repeat; on an abscissa it is a tie,
+    so every pair through it is the kernel's."""
     if len(cs) < 2:
-        return {}
+        return {}, {}
     segs = [c.scaled_segments(scale) for c in cs]
     shift = 2 * max(s[1] - s[0] for ss in segs for s in ss).bit_length()
 
@@ -472,7 +484,10 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str]
     # met[p]: q, t, q, t, ... for the pairs (p, q > p) in sweep order, t the
     # triple of a slab crossing, or None where they tie at an abscissa
     met: List[Optional[list]] = [[] for _ in pieces]
+    slab: Dict[tuple, tuple] = {}  # the current slab's crossings -> the chains of the first swap there
+    shared: Dict[tuple, set] = {}  # points that may lie on two pairs -> their chains
     for x in sorted(ends.keys() | starts.keys() | walls.keys()):
+        slab.clear()
         # keys at x; the inversions against the order left of x are the
         # crossings in the slab, and each piece equal to one below it ties
         top = 0  # the largest key so far
@@ -488,7 +503,11 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str]
                     order[k] = e
                     k -= 1
                     row, j = (met[c], e) if c < e else (met[e], c)
-                    row += j, _crossing(line[c][3], line[e][3])
+                    t = _crossing(line[c][3], line[e][3])
+                    row += j, t
+                    pair = owner[c], owner[e]
+                    if slab.setdefault(t, pair) is not pair:
+                        shared.setdefault(t, set(slab[t])).update(pair)
                 order[k] = c
             while k and key[order[k - 1]] == kc:
                 e = order[k - 1]
@@ -527,7 +546,8 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str]
                 line[c] = line_of(pieces[c][at[c]])
         if stops:
             order = [c for c in order if c not in stops]
-    result: Dict[Tuple[str, str], tuple] = {}
+    n = len(cs)
+    result: Dict[int, object] = {}
     for i, ps in groupby(range(len(pieces)), owner.__getitem__):  # each chain's pieces
         hits: Dict[int, list] = {}
         for p in ps:
@@ -539,14 +559,21 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Dict[Tuple[str, str]
         for j in sorted(hits):
             ts = hits[j]
             if len(ts) == 1 and ts[0] is not None:  # one slab crossing
-                entry = "ok", ((ts[0], "cross"),)
+                entry = ts[0]
             elif None in ts or len(set(ts)) < len(ts):
                 entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
+                for t, _ in _hits(entry):  # every point on an abscissa is a kernel pair's
+                    shared.setdefault(t, set()).update((i, j))
             else:  # distinct slab crossings
-                entry = "ok", tuple((t, "cross") for t in sorted(ts, key=_BY_XY))
+                entry = tuple((t, "cross") for t in sorted(ts, key=_BY_XY))
             if entry is not None:
-                result[(cs[i].cid, cs[j].cid)] = entry
-    return result
+                result[i * n + j] = entry
+    triples = {}
+    for t, on in shared.items():  # t counts only on the non-degenerate pairs whose entries hold it
+        pairs = [ab for ab in combinations(sorted(on), 2) if t in (u for u, _ in _hits(result.get(ab[0] * n + ab[1])))]
+        if len(pairs) > 1:
+            triples[t] = tuple(sorted({cs[c].cid for pair in pairs for c in pair}))
+    return result, triples
 
 
 # --- families --------------------------------------------------------------
@@ -578,7 +605,8 @@ class CurveFamily:
         self.x_monotone = bool(x_monotone)
         self.bi_infinite = bool(bi_infinite)
         self._by_id = {c.cid: c for c in self.curves}
-        self._contacts: Optional[Dict[Tuple[str, str], tuple]] = None
+        self._contacts: Optional[Dict[int, object]] = None
+        self._triples: Dict[tuple, tuple] = {}
         self._report: Optional[ValidationReport] = None
         self._scale: Optional[int] = None
 
@@ -598,21 +626,25 @@ class CurveFamily:
             self._scale = lcm(*(c.scale for c in self.curves))
         return self._scale
 
-    def contacts(self) -> Dict[Tuple[str, str], tuple]:
-        """Pairwise contact map {(id_i, id_j): ('ok', ((t, kind), ...)) or
-        ('degenerate', reason)} for i < j in family order; t is a common
-        point's reduced int triple on the grid of `self.scale` (`_grid`).
-        A pair with no entry is disjoint: it shares no point.  One sweep
-        over the chains cut into x-monotone pieces (`_sweep_contacts`)
-        finds the crossings inside the slabs between vertex abscissas, and
-        the pair kernel runs only on the pairs that tie on an abscissa or
-        cross twice at one point.  Proper crossings are stored as found; a
-        pair with any other hit (a touch, a vertex or endpoint contact) is
-        classified by `common_points`.  The map is the kernel's on every
-        pair, key order included."""
+    def contacts(self) -> Dict[int, object]:
+        """Pairwise contact map, in key order, keyed by i*n + j for the
+        positions i < j of two chains in `self.curves` and n = len(self)
+        (`pair_ids`).  A common point is its reduced int triple t on the
+        grid of `self.scale` (`_grid`).  An entry is the kernel's message (a
+        str) for a degenerate pair, the bare t of a lone proper crossing,
+        and else the (t, 'cross' or 'touch') pairs in `_BY_XY` order; a
+        disjoint pair has none.  One sweep (`_sweep_contacts`) finds the
+        slab crossings and the triple points, and the pair kernel runs only
+        on the pairs that tie on an abscissa or cross twice at one point, so
+        the map is `_pair_entry`'s on every pair, key order included."""
         if self._contacts is None:
-            self._contacts = _sweep_contacts(self.curves, self.scale)
+            self._contacts, self._triples = _sweep_contacts(self.curves, self.scale)
         return self._contacts
+
+    def pair_ids(self, key: int) -> Tuple[str, str]:
+        """The ids of the two chains of a contact-map key."""
+        i, j = divmod(key, len(self.curves))
+        return self.curves[i].cid, self.curves[j].cid
 
     def subfamily(self, ids: Sequence[str]) -> "CurveFamily":
         return CurveFamily(
@@ -672,35 +704,29 @@ def validate_family(family: CurveFamily) -> ValidationReport:
         return family._report
     non_simple = [c.cid for c in family.curves if not c.is_simple()]
     contacts = family.contacts()
-    degenerate = []
-    multi = []
-    endpointish = []
-    tang = 0
-    crossn = 0
-    n = len(family)
+    degenerate, multi, endpointish = [], [], []
+    tang = crossn = 0
+    n, scale = len(family), family.scale
     disj = n * (n - 1) // 2 - len(contacts)
-    ends = {c.cid: (_grid(c.start, family.scale), _grid(c.end, family.scale)) for c in family.curves}
-    first_pair: Dict[tuple, Tuple[str, str]] = {}  # point -> first pair through it
-    shared: Dict[tuple, set] = {}  # points of several pairs -> their curves
-    for pair, (status, data) in contacts.items():
-        i, j = pair
-        if status == "degenerate":
-            degenerate.append((i, j, data))
+    ends = {c.cid: (_grid(c.start, scale), _grid(c.end, scale)) for c in family.curves}
+    for key, entry in contacts.items():
+        if type(entry[0]) is int:  # a lone proper crossing, inside an edge of each chain
+            crossn += 1
             continue
-        if len(data) > 1:
-            multi.append((i, j, len(data)))
-        elif data[0][1] == "touch":
+        i, j = family.pair_ids(key)
+        if type(entry) is str:
+            degenerate.append((i, j, entry))
+            continue
+        if len(entry) > 1:
+            multi.append((i, j, len(entry)))
+        elif entry[0][1] == "touch":
             tang += 1
         else:
             crossn += 1
-        for t, _ in data:
-            first = first_pair.setdefault(t, pair)
-            if first != pair:
-                shared.setdefault(t, set(first)).update(pair)
+        for t, _ in entry:
             if t in ends[i] or t in ends[j]:
-                endpointish.append((i, j, _point(t, family.scale)))
-    # two different pairs through one point make at least three curves
-    triples = [(_point(t, family.scale), tuple(sorted(shared[t]))) for t in sorted(shared, key=_BY_XY)]
+                endpointish.append((i, j, _point(t, scale)))
+    triples = [(_point(t, scale), family._triples[t]) for t in sorted(family._triples, key=_BY_XY)]
 
     all_mono = all(c.is_x_monotone() for c in family.curves)
     w = family.window
@@ -731,18 +757,17 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     return family._report
 
 
-def _witness(family: CurveFamily, rep: ValidationReport) -> str:
-    """The first witness that a family is not 1-intersecting: a degenerate
-    or multi pair, else a triple point, else a non-simple chain."""
-    for (i, j), (status, data) in family.contacts().items():
-        if status == "degenerate":
-            return data  # the stored message names the pair
-        if len(data) > 1:
-            return f"{i}/{j}: {len(data)} common points; not 1-intersecting"
-    if rep.triple_points:
-        (x, y), owners = rep.triple_points[0]
-        return f"{'/'.join(owners)}: triple point ({format_rat(x)}, {format_rat(y)}); not 1-intersecting"
-    return f"{rep.non_simple[0]}: chain is not simple; not 1-intersecting"
+def _witnesses(family: CurveFamily, rep: ValidationReport, limit: int = 5) -> List[str]:
+    """The first `limit` witnesses that a family is not 1-intersecting: its
+    degenerate and multi pairs in map order, then its triple points, then
+    its non-simple chains."""
+    pos = {c.cid: k for k, c in enumerate(family.curves)}
+    pairs = sorted(rep.degenerate_pairs + rep.multi_pairs, key=lambda r: (pos[r[0]], pos[r[1]]))
+    found = [m if type(m) is str else f"{i}/{j}: {m} common points; not 1-intersecting" for i, j, m in pairs]
+    for (x, y), on in rep.triple_points:
+        found.append(f"{'/'.join(on)}: triple point ({format_rat(x)}, {format_rat(y)}); not 1-intersecting")
+    found += [f"{cid}: chain is not simple; not 1-intersecting" for cid in rep.non_simple]
+    return found[:limit]
 
 
 @dataclass
@@ -792,13 +817,14 @@ def tangency_graph(family: CurveFamily, strict: bool = True) -> TangencyGraph:
     contacts = family.contacts()
     rep = (family._report or validate_family(family)) if strict else None
     if rep is not None and not rep.is_1_intersecting:
-        raise DegeneracyError(_witness(family, rep))
+        raise DegeneracyError(_witnesses(family, rep, 1)[0])
     edges = []
-    for (i, j), (status, data) in contacts.items():
-        if status == "degenerate":
+    for key, entry in contacts.items():
+        if type(entry[0]) is not tuple:  # a lone crossing, or a degenerate pair's message
             continue
-        for t, kind in data:
+        for t, kind in entry:
             if kind == "touch":
+                i, j = family.pair_ids(key)
                 ci, cj, p = family.curve(i), family.curve(j), _point(t, family.scale)
                 edges.append(TangencyEdge(i, j, p, _touch_type(ci, cj, p, _arcs(ci, p), _arcs(cj, p))))
     return TangencyGraph(nodes=family.ids, edges=edges)

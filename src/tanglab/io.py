@@ -8,6 +8,8 @@ Declared flags are re-checked on load and a mismatch is an error.
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
 from typing import List, Sequence
 
 from .bipartite import BipartiteGraph
@@ -16,6 +18,7 @@ from .geom import Point, format_rat, rat
 
 FAMILY_HEADER = "tanglab-family 1"
 KNOWN_FLAGS = ("x_monotone", "bi_infinite", "one_intersecting", "precisely_1")
+PLAIN_RAT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # what format_rat writes; every other form goes to rat
 
 
 class FormatError(ValueError):
@@ -83,11 +86,16 @@ def load_family(path) -> CurveFamily:
     seen_ids = set()
     i = 1
 
+    parsed = {}  # token -> its Fraction, shared by every vertex that repeats it
+
     def parse_rat(tok, lineno):
-        try:
-            return rat(tok)
-        except (ValueError, ZeroDivisionError) as e:
-            raise FormatError(path, lineno, f"bad rational {tok!r}: {e}") from None
+        if tok not in parsed:
+            m = PLAIN_RAT.fullmatch(tok)
+            try:
+                parsed[tok] = Fraction(int(m[1]), int(m[2] or 1)) if m else rat(tok)
+            except (ValueError, ZeroDivisionError) as e:
+                raise FormatError(path, lineno, f"bad rational {tok!r}: {e}") from None
+        return parsed[tok]
 
     n = len(raw)
     while i < n:

@@ -33,7 +33,7 @@ from functools import cmp_to_key
 from math import lcm
 from typing import Dict, List, Optional, Set, Tuple
 
-from .curves import _BY_XY, CurveFamily, DegeneracyError, PolyChain, _grid, _pair_hits, _point, common_points
+from .curves import _BY_XY, CurveFamily, DegeneracyError, PolyChain, _grid, _hits, _pair_hits, _point, common_points
 from .geom import Point
 
 
@@ -107,10 +107,11 @@ def _sweep(family: CurveFamily):
     geo = {c: c.scaled_segments(scale) for c in family.curves}
     geo = {c: (segs, [s[0] for s in segs]) for c, segs in geo.items()}
     points = [(_grid(e, scale), e, (c,)) for c in family.curves for e in (c.start, c.end)]
-    for (a, b), (status, data) in family.contacts().items():
-        if status == "degenerate":
-            raise DegeneracyError(data)
-        points += [(t, None, (family.curve(a), family.curve(b))) for t, _ in data]
+    for key, entry in family.contacts().items():
+        if type(entry) is str:
+            raise DegeneracyError(entry)
+        a, b = family.pair_ids(key)
+        points += [(t, None, (family.curve(a), family.curve(b))) for t, _ in _hits(entry)]
     through: Dict[Tuple[int, int, int], list] = {}  # grid triple -> [an endpoint there or None, chains through it]
     for t, p, chains in points:
         through.setdefault(t, [p, set()])[1].update(chains)
@@ -242,13 +243,13 @@ def vertical_visibility_pairs(family: CurveFamily) -> Set[Tuple[str, str]]:
     _, _, slabs, cells, _, _ = _sweep(family)
     for _ in slabs:
         pass
-    contacts = family.contacts()  # a disjoint pair has no entry
+    met = {family.pair_ids(key) for key in family.contacts()}  # a disjoint pair has no entry
     return {
         tuple(sorted((t.bottom, t.top)))
         for t in cells
         if None not in (t.bottom, t.top)
-        and (t.bottom, t.top) not in contacts
-        and (t.top, t.bottom) not in contacts
+        and (t.bottom, t.top) not in met
+        and (t.top, t.bottom) not in met
     }
 
 
@@ -486,10 +487,7 @@ def biinfinite_extend(
             if s >= steep:
                 steep = s + 1
 
-    before = {
-        key: len(data) if status == "ok" else None
-        for key, (status, data) in family.contacts().items()
-    }
+    before = {key: len(_hits(entry)) or None for key, entry in family.contacts().items()}
 
     last_error = None
     for bump in range(32):
@@ -511,13 +509,13 @@ def biinfinite_extend(
             bi_infinite=True,
         )
         ok = True
-        for key, (status, data) in out.contacts().items():
-            if status == "degenerate":
-                ok, last_error = False, data
+        for key, entry in out.contacts().items():
+            if type(entry) is str:
+                ok, last_error = False, entry
                 break
-            prev = before.get(key, 0)
-            if prev is None or len(data) > prev + 2:
-                ok, last_error = False, f"{key}: {prev} -> {len(data)} common points"
+            prev, now = before.get(key, 0), len(_hits(entry))
+            if prev is None or now > prev + 2:
+                ok, last_error = False, f"{out.pair_ids(key)}: {prev} -> {now} common points"
                 break
         if ok:
             return out

@@ -104,9 +104,51 @@ def random_spanning_family(seed, n_max=12):
             ys = [F(rng.randint(-60, 60), 7) for _ in xs]
             chains.append(PolyChain(f"c{i}", list(zip(xs, ys))))
         fam = CurveFamily(chains, window=(F(0), F(w)), x_monotone=True, bi_infinite=True)
-        if all(status == "ok" for status, _ in fam.contacts().values()):
+        if not any(type(entry) is str for entry in fam.contacts().values()):
             return fam
     raise RuntimeError(f"no overlap-free spanning instance for seed {seed}")
+
+
+def concurrent_family(seed):
+    """(family, p): a few chains through one point p, set by seed % 6, and
+    a few random segments on a small grid, each chain possibly reversed.
+    0: straight chains cross at p, typically inside a slab; 1: one chain
+    has a vertex at p; 2: another chain has a vertex on p's abscissa;
+    3: a chain crosses itself at p, where one or two more chains pass;
+    4: two of the chains through p overlap along a segment through it;
+    5: one chain through p overlaps two others away from p."""
+    rng = random.Random(f"{seed}-concurrent")
+    kind = seed % 6
+    p = (F(rng.randint(-6, 6), rng.choice((1, 2, 3))), F(rng.randint(-6, 6), rng.choice((1, 2, 5))))
+
+    def at(u, s):
+        return p[0] + s * u[0], p[1] + s * u[1]
+
+    dirs = []  # pairwise non-collinear
+    while len(dirs) < 5:
+        u = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if u != (0, 0) and all(u[0] * v[1] != u[1] * v[0] for v in dirs):
+            dirs.append(u)
+    chains = [[at(u, -rng.randint(1, 3)), at(u, rng.randint(1, 3))] for u in dirs[: rng.randint(3, 4)]]
+    if kind == 1:
+        chains[0] = [chains[0][0], p, at(dirs[4], rng.randint(1, 3))]
+    elif kind == 2:
+        h = rng.randint(1, 6)
+        chains.append([(p[0] - 1, p[1] + h), (p[0], p[1] + h + rng.choice((-1, 1))), (p[0] + 1, p[1] + h)])
+    elif kind == 3:
+        chains = [[at(dirs[0], -1), at(dirs[0], 1), at(dirs[4], 2), at(dirs[4], -1)]] + chains[1 : rng.randint(2, 3)]
+    elif kind == 4:
+        chains.append([at(dirs[0], -rng.randint(1, 2)), at(dirs[0], F(1, 2))])
+    elif kind == 5:
+        chains = [[at(dirs[1], 4), at(dirs[1], 2), at(dirs[0], 2), at(dirs[0], -2), at(dirs[2], -2), at(dirs[2], -4)]]
+        chains += [[at(u, -4), at(u, 4)] for u in dirs[1 : rng.randint(3, 4)]]
+    for _ in range(rng.randint(0, 3)):
+        a = (rng.randint(-6, 6), rng.randint(-6, 6))
+        b = (rng.randint(-6, 6), rng.randint(-6, 6))
+        if a != b:
+            chains.append([a, b])
+    chains = [vs[::-1] if rng.random() < 0.5 else vs for vs in chains]
+    return CurveFamily([PolyChain(f"c{i}", vs) for i, vs in enumerate(chains)]), Point(*p)
 
 
 def _chain(cid, *verts):
@@ -750,7 +792,7 @@ def sweep_reference(family):
     for c in family.curves:
         through.setdefault(c.start, set()).add(c)
         through.setdefault(c.end, set()).add(c)
-    for (a, b), (status, data) in family.contacts().items():
+    for (a, b), (status, data) in contact_entries(family).items():
         assert status == "ok", data
         for (x, y, w), _ in data:  # grid triples on the family's scale
             p = Point(F(x, w * scale), F(y, w * scale))
@@ -923,8 +965,45 @@ def dense_contacts(family):
     for i, j in combinations(range(len(cs)), 2):
         entry = curves._pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
         if entry is not None:
-            out[(cs[i].cid, cs[j].cid)] = entry
+            out[i * len(cs) + j] = entry
     return out
+
+
+def contact_entries(family):
+    """The family's contact map read by chain ids, in map order:
+    {(id_i, id_j): ('degenerate', message) or ('ok', ((t, kind), ...))},
+    a lone crossing's bare triple t read as ((t, 'cross'),)."""
+    from tanglab import curves
+
+    return {
+        family.pair_ids(key): ("degenerate", entry) if type(entry) is str else ("ok", curves._hits(entry))
+        for key, entry in family.contacts().items()
+    }
+
+
+def shared_points_oracle(family):
+    """(triple_points, endpoint_contacts) as a scan over every common point
+    of every non-degenerate pair finds them: a point on two different pairs
+    is a triple point, owned by the ids of every pair through it, and a
+    point at an endpoint of one of its pair's chains is an endpoint
+    contact.  `validate_family` must report the same lists."""
+    from tanglab import curves
+
+    scale = family.scale
+    ends = {c.cid: (curves._grid(c.start, scale), curves._grid(c.end, scale)) for c in family.curves}
+    first_pair, shared, endpointish = {}, {}, []
+    for pair, (status, data) in contact_entries(family).items():
+        if status == "degenerate":
+            continue
+        i, j = pair
+        for t, _ in data:
+            first = first_pair.setdefault(t, pair)
+            if first != pair:
+                shared.setdefault(t, set(first)).update(pair)
+            if t in ends[i] or t in ends[j]:
+                endpointish.append((i, j, curves._point(t, scale)))
+    triples = [(curves._point(t, scale), tuple(sorted(shared[t]))) for t in sorted(shared, key=curves._BY_XY)]
+    return triples, endpointish
 
 
 def count_pair_scans(monkeypatch, *families):

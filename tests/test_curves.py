@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -136,8 +137,8 @@ def test_collinear_overlap_is_degenerate():
     a = chain("a", (0, 0), (3, 0))
     b = chain("b", (1, 0), (4, 0))
     fam = CurveFamily([a, b])
-    (status, _), = fam.contacts().values()
-    assert status == "degenerate"
+    (entry,) = fam.contacts().values()
+    assert type(entry) is str
 
 
 def test_same_direction_collinear_arcs_degenerate():
@@ -145,8 +146,8 @@ def test_same_direction_collinear_arcs_degenerate():
     a = chain("a", (0, 0), (2, 2))
     b = chain("b", (1, 1), (3, 3))
     fam = CurveFamily([a, b])
-    (status, _), = fam.contacts().values()
-    assert status == "degenerate"
+    (entry,) = fam.contacts().values()
+    assert type(entry) is str
 
 
 # --- validation and tangency graph ----------------------------------------
@@ -334,8 +335,12 @@ def test_contact_map_keys_and_report_match_dense_recount():
     kinds = set()
     for fam in _map_families():
         keys, disj, tang, crossn, all_one = _dense_recount(fam)
-        contacts = fam.contacts()
+        contacts = helpers.contact_entries(fam)
         assert contacts.keys() == keys.keys()
+        for key, entry in fam.contacts().items():
+            # a lone crossing is its bare triple, other meeting pairs a tuple of (triple, kind)
+            if type(entry) is not str and type(entry[0]) is int:
+                assert len(entry) == 3 and len(keys[fam.pair_ids(key)][1]) == 1
         for key, (status, data) in contacts.items():
             # the map holds grid triples and tuples; common_points, Points and lists
             if status == "ok":
@@ -343,6 +348,7 @@ def test_contact_map_keys_and_report_match_dense_recount():
                 data = [(curves._point(t, fam.scale), kind) for t, kind in data]
             assert (status, data) == keys[key]
         rep = validate_family(fam)
+        assert (rep.triple_points, rep.endpoint_contacts) == helpers.shared_points_oracle(fam)
         assert (rep.disjoint_count, rep.tangency_count, rep.crossing_count) == (disj, tang, crossn)
         assert rep.is_precisely_1 == (rep.is_1_intersecting and all_one)
         kinds.update(
@@ -357,6 +363,46 @@ def test_contact_map_keys_and_report_match_dense_recount():
     assert kinds == {"disjoint", "degenerate", "multi", "triple", "precisely-1"}
 
 
+def test_triple_points_match_the_scan_over_every_common_point():
+    """The sweep's triple points, and the endpoint contacts read off the
+    entries that are not a lone crossing, are those of a scan over every
+    common point of every non-degenerate pair (`helpers.shared_points_oracle`),
+    on chains concurrent inside a slab, at a vertex, on another chain's
+    vertex abscissa, where a chain crosses itself, through an overlap, and
+    on a chain whose pairs with the others are degenerate."""
+    found = set()
+    for seed in range(360):
+        fam, p = helpers.concurrent_family(seed)
+        rep = validate_family(fam)
+        assert list(fam.contacts().items()) == list(helpers.dense_contacts(fam).items())
+        assert (rep.triple_points, rep.endpoint_contacts) == helpers.shared_points_oracle(fam)
+        vxs = {v.x for c in fam.curves for v in c.vertices}
+        triple = any(q == p for q, _ in rep.triple_points)
+        found.add((seed % 6, triple, p.x in vxs))
+    # every setting gives a triple point at p, inside a slab and on an abscissa
+    assert {(kind, True) for kind in range(6)} <= {(kind, triple) for kind, triple, _ in found}
+    assert {(0, True, False), (0, True, True), (3, True, False), (4, True, False)} <= found
+    # three pieces of two chains, or three chains with one non-degenerate pair: no triple point
+    assert {(3, False, False), (5, False, False)} <= found
+
+
+def test_contact_map_holds_at_most_360_bytes_per_entry():
+    """Grounded k=3's map, measured by tracemalloc once the chains' int
+    segments are cached, holds at most 360 bytes per entry: almost every
+    entry is a lone crossing, stored as its bare triple under an int key."""
+    fam = gen_grounded_family(3)
+    for c in fam.curves:
+        c.scaled_segments(fam.scale)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        contacts = fam.contacts()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 360 * len(contacts) == 360 * 12_728
+
+
 def test_contacts_scans_few_more_pairs_than_meet(monkeypatch):
     """On a family that is not x-monotone (grounded k=3 with every chain
     reversed, so each chain is one piece stored reversed) the kernel runs on
@@ -364,8 +410,8 @@ def test_contacts_scans_few_more_pairs_than_meet(monkeypatch):
     forward family."""
     fam = CurveFamily([PolyChain(c.cid, c.vertices[::-1]) for c in gen_grounded_family(3).curves])
     calls = helpers.count_pair_scans(monkeypatch, fam)
-    contacts = fam.contacts()
-    assert len(contacts) == 12_728
+    contacts = helpers.contact_entries(fam)
+    assert len(fam.contacts()) == 12_728
     touching = [frozenset(key) for key, (_, data) in contacts.items() if any(kind == "touch" for _, kind in data)]
     assert len(touching) == 324
     assert calls == touching
@@ -376,7 +422,7 @@ def test_sweep_scans_only_the_touching_pairs(monkeypatch):
     pairs, once each and in map order; every crossing comes from a slab."""
     fam = gen_grounded_family(3)
     calls = helpers.count_pair_scans(monkeypatch, fam)
-    contacts = fam.contacts()
+    contacts = helpers.contact_entries(fam)
     touching = [frozenset(key) for key, (_, data) in contacts.items() if any(kind == "touch" for _, kind in data)]
     assert len(touching) == 324
     assert calls == touching
@@ -423,7 +469,7 @@ def _tie_kinds(fam):
     ends = {c.cid: {curves._grid(c.start, scale), curves._grid(c.end, scale)} for c in fam.curves}
     starts = {c.cid: curves._grid(c.start, scale) for c in fam.curves}
     kinds = set()
-    for (i, j), (status, data) in fam.contacts().items():
+    for (i, j), (status, data) in helpers.contact_entries(fam).items():
         if status == "degenerate":
             if "overlap" in data:
                 kinds.add("overlap")
@@ -471,9 +517,9 @@ def _meeting_on_an_abscissa(fam, contacts):
     the family (an overlap always does)."""
     vxs = {v.x for c in fam.curves for v in c.vertices}
     return {
-        frozenset(key)
-        for key, (status, data) in contacts.items()
-        if status == "degenerate" or any(curves._point(t, fam.scale).x in vxs for t, _ in data)
+        frozenset(fam.pair_ids(key))
+        for key, entry in contacts.items()
+        if type(entry) is str or any(curves._point(t, fam.scale).x in vxs for t, _ in curves._hits(entry))
     }
 
 
@@ -489,7 +535,7 @@ def test_sweep_map_equals_the_pair_path(monkeypatch):
     for fam in fams:
         assert all(c.is_x_monotone() for c in fam.curves)
         calls.clear()
-        sweep = curves._sweep_contacts(fam.curves, fam.scale)
+        sweep, _ = curves._sweep_contacts(fam.curves, fam.scale)
         scanned = set(calls)
         dense = helpers.dense_contacts(fam)
         assert list(sweep.items()) == list(dense.items())
@@ -514,7 +560,7 @@ def test_contacts_sweeps_exactly_the_all_x_monotone_families():
     otherwise both get the map of `common_points` on every pair."""
     vertical = [chain("a", (0, 0), (2, 2)), chain("b", (0, 2), (1, 1), (1, 0), (2, 0)), chain("c", (0, 1), (2, 1))]
     fam = CurveFamily(vertical, x_monotone=True)
-    contacts = fam.contacts()
+    contacts = helpers.contact_entries(fam)
     keys = _dense_recount(fam)[0]
     assert list(contacts) == list(keys) == [("a", "b"), ("a", "c"), ("b", "c")]
     assert all([(curves._point(t, fam.scale), kind) for t, kind in contacts[key][1]] == keys[key][1] for key in keys)
@@ -624,7 +670,7 @@ def test_sweep_map_equals_the_pair_kernel_on_families_that_are_not_x_monotone(mo
         contacts = fam.contacts()
         scanned = set(calls)
         assert list(contacts.items()) == list(helpers.dense_contacts(fam).items())
-        found, scans = _jordan_kinds(fam, contacts)
+        found, scans = _jordan_kinds(fam, helpers.contact_entries(fam))
         assert scanned == scans
         kinds |= found
     assert not all(c.is_x_monotone() for fam in fams for c in fam.curves)
@@ -658,7 +704,7 @@ def test_contacts_classifies_only_pairs_with_a_non_proper_hit(monkeypatch):
     cap = PolyChain("c", [(1, 4), (3, 4)])  # touches z at its apex
     calls = _count_common_points(monkeypatch)
     fam = CurveFamily([zig, line, cap])
-    status, data = fam.contacts()[("z", "l")]
+    status, data = helpers.contact_entries(fam)[("z", "l")]
     assert calls == [("z", "c")]
     assert status == "ok" and [(curves._point(t, fam.scale), kind) for t, kind in data] == common_points(zig, line)
     assert [kind for _, kind in data] == ["cross", "cross"]
@@ -669,7 +715,7 @@ def test_contacts_runs_common_points_once_per_tangency(monkeypatch):
     hit; only the touching pairs of a grounded family reach common_points."""
     calls = _count_common_points(monkeypatch)
     fam = gen_grounded_family(3)
-    contacts = fam.contacts()
+    contacts = helpers.contact_entries(fam)
     assert len(calls) == 324 == 4 * 3**4
     touching = [key for key, (_, data) in contacts.items() if data[0][1] == "touch"]
     assert calls == touching
@@ -688,8 +734,8 @@ def test_common_points_symmetric(t1, t2):
     a = chain("a", (t1[0], t1[1]), (t1[2], t1[3]))
     b = chain("b", (t2[0], t2[1]), (t2[2], t2[3]))
     # a pair with no entry shares no point
-    status, data = CurveFamily([a, b]).contacts().get(("a", "b"), ("ok", []))
-    status2, data2 = CurveFamily([b, a]).contacts().get(("b", "a"), ("ok", []))
+    status, data = helpers.contact_entries(CurveFamily([a, b])).get(("a", "b"), ("ok", []))
+    status2, data2 = helpers.contact_entries(CurveFamily([b, a])).get(("b", "a"), ("ok", []))
     assert status == status2
     if status == "ok":
         assert [(p, k) for p, k in data] == [(p, k) for p, k in data2]

@@ -24,6 +24,7 @@ from tanglab import (
     validate_family,
 )
 from tanglab.cli import build_parser, run
+from tanglab.geom import rat
 from tanglab.io import FormatError
 
 import helpers
@@ -97,6 +98,25 @@ def test_malformed_rational_is_parse_error(tmp_path):
     p.write_text("tanglab-family 1\ncurve a 2\n1/0 0\n1 1\n")
     with pytest.raises(FormatError):
         load_family(p)
+
+
+def test_plain_rationals_load_as_rat_reads_them(tmp_path):
+    """Tokens -?digits[/digits] are read with int, every other token by
+    rat: the loaded values, and the error messages, are rat's."""
+    toks = ["3", "-0", "007", "-12/8", "4/6", "0.5", "1_0", "+3", "1e2", "-3/4", "\u0663", "5/1"]
+    p = tmp_path / "f.txt"
+    p.write_text("tanglab-family 1\ncurve a 6\n" + "\n".join(f"{x} {y}" for x, y in zip(toks[::2], toks[1::2])) + "\n")
+    assert [c for v in load_family(p).curves[0].vertices for c in v] == [rat(t) for t in toks]
+    fam = gen_grounded_family(3)
+    save_family(fam, p)
+    assert [c.vertices for c in load_family(p).curves] == [c.vertices for c in sorted(fam.curves, key=lambda c: c.cid)]
+    for tok in ("1/0", "00/000", "x", "1/-0"):
+        p.write_text(f"tanglab-family 1\ncurve a 2\n{tok} 0\n1 1\n")
+        with pytest.raises((ValueError, ZeroDivisionError)) as expected:
+            rat(tok)
+        with pytest.raises(FormatError) as e:
+            load_family(p)
+        assert str(e.value) == f"{p}:3: bad rational {tok!r}: {expected.value}"
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -447,11 +467,42 @@ def test_cli_validate_failure_exit_1(tmp_path, capsys):
     assert witness == capsys.readouterr().err.strip() == "a/b: 4 common points; not 1-intersecting"
 
 
+def test_cli_validate_lists_the_first_five_witnesses(tmp_path, capsys):
+    """An overlap, a pair meeting twice and a triple point, far apart: the
+    JSON lists all three in that order, and `witness` is the first.  With
+    six overlaps it lists the first five."""
+    curves = [
+        [(0, 0), (2, 0)],
+        [(1, 0), (3, 0)],
+        [(10, 0), (16, 0)],
+        [(10, -1), (11, 1), (12, -1)],
+        [(20, -1), (22, 1)],
+        [(20, 1), (22, -1)],
+        [(20, 0), (22, 0)],
+    ]
+    p = str(tmp_path / "f.txt")
+    save_family(CurveFamily([PolyChain(f"c{i}", vs) for i, vs in enumerate(curves)]), p)
+    assert run(["validate", "--in", p]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["witnesses"] == [
+        "c0/c1: collinear overlap of positive length",
+        "c2/c3: 2 common points; not 1-intersecting",
+        "c4/c5/c6: triple point (21, 0); not 1-intersecting",
+    ]
+    assert out["witness"] == out["witnesses"][0]
+    overlaps = [[(4 * i, 0), (4 * i + 2, 0)] for i in range(6)] + [[(4 * i + 1, 0), (4 * i + 3, 0)] for i in range(6)]
+    save_family(CurveFamily([PolyChain(f"c{i:02}", vs) for i, vs in enumerate(overlaps)]), p)
+    assert run(["validate", "--in", p]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["witnesses"] == [f"c{i:02}/c{i + 6:02}: collinear overlap of positive length" for i in range(5)]
+
+
 def test_cli_validate_names_no_witness_on_a_passing_family(tmp_path, capsys):
     p = str(tmp_path / "f.txt")
     save_family(gen_vee_fan(4), p)
     assert run(["validate", "--in", p]) == 0
-    assert "witness" not in json.loads(capsys.readouterr().out)
+    out = json.loads(capsys.readouterr().out)
+    assert "witness" not in out and "witnesses" not in out
 
 
 @pytest.mark.parametrize(
@@ -578,6 +629,16 @@ def test_cli_scaling_report_deterministic(capsys):
     lines = out1.splitlines()
     assert lines[1] == "n,t,t_over_n43,t_over_n32"
     assert lines[2].startswith("4,3,")
+
+
+def test_cli_scaling_report_prints_exact_ratios(capsys):
+    """A ratio that is exactly a rational prints as that rational's float:
+    grounded has t/n^(4/3) = 1/4, and at k=2 t/n^(3/2) = 1/8.  A ratio that
+    is irrational prints the float quotient, as vee-fan 4's do."""
+    assert run(["scaling-report", "--family", "grounded", "--values", "1,2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["8,4,0.25,0.17677669529663687", "64,64,0.25,0.125"]
+    assert run(["scaling-report", "--family", "vee-fan", "--values", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [f"4,3,{3 / 4 ** (4 / 3)!r},{3 / 4 ** 1.5!r}"]
 
 
 @pytest.mark.parametrize(

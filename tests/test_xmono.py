@@ -373,7 +373,7 @@ def _assert_scanned_once(fam, calls):
     map disjoint by the Fraction oracle."""
     assert len(calls) == len(set(calls))
     scanned = set(calls)
-    contacts = fam.contacts()
+    contacts = helpers.contact_entries(fam)
     for key, (status, data) in contacts.items():
         if status == "degenerate" or any(kind != "cross" for _, kind in data):
             assert frozenset(key) in scanned
