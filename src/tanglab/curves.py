@@ -14,9 +14,9 @@ line c2 = (0,1),(2,1) at its apex (1,1) and touches it from below.  The
 line lies above the apex, on the left of c1; the peak lies below the line,
 on the right of c2; so the type is LR, and RL with c1 and c2 swapped.
 
-One integer kernel, `_pair_points_int`, decides every segment predicate,
-for pairs of chains and for `PolyChain.is_simple` alike, on a common
-integer grid.  It reports int homogeneous points, which `common_points`
+One integer kernel, `_pair_points_int`, decides every segment predicate
+on a common integer grid, for pairs of chains and for pairs of pieces of
+one chain alike.  It reports int homogeneous points, which `common_points`
 turns into exact Fractions.  Classification runs on ints too: cross/touch,
 the tangency type and the position along a chain all read `_arcs`, the int
 arcs leaving a point.  A family caches its contact map, keyed by ints and
@@ -24,11 +24,11 @@ holding int grid triples (a lone proper crossing is its bare triple, and
 builds no Fraction), and xmono reads that map.  Only a pair with a hit that
 is not a proper crossing goes through `common_points`.  Triples sort by
 `_BY_XY`, their Points' order; Points are built after the sort.  Every
-family's map and triple points come from one sweep over the vertex
-abscissas (`_sweep_contacts`) of its chains cut into x-monotone pieces and
-vertical segments: slab crossings are order inversions, and only the pairs
-that tie on an abscissa or cross twice at one point reach the kernel, whose
-hits `_pair_entry` turns into an entry.
+family's map, triple points and non-simple chains come from one sweep over
+the vertex abscissas (`_sweep_contacts`) of its chains cut into x-monotone
+pieces and vertical segments: slab crossings are order inversions, and
+only the pairs that tie on an abscissa or cross twice at one point reach
+the kernel, whose hits `_pair_entry` turns into an entry.
 """
 
 from __future__ import annotations
@@ -117,22 +117,9 @@ class PolyChain:
 
     def is_simple(self) -> bool:
         """No self-intersections: non-adjacent edges disjoint, adjacent edges
-        meeting only at the shared vertex (no turn-backs, which the pair
-        kernel reports as an overlap)."""
-        scale = self.scale
-        segs = self.scaled_segments(scale)
-        for k, s in enumerate(segs):
-            for m in range(k + 1, len(segs)):
-                t = segs[m]
-                if t[0] > s[1]:
-                    break
-                try:
-                    hits = _pair_points_int([s], [t])
-                except DegeneracyError:
-                    return False
-                if hits and abs(s[8] - t[8]) != 1:
-                    return False
-        return True
+        meeting only at the shared vertex.  The contact sweep run on this one
+        chain (`_sweep_contacts`)."""
+        return not _sweep_contacts([self], self.scale)[2]
 
 
 def _rat(v) -> Fraction:
@@ -427,11 +414,11 @@ def _pieces(segs: list) -> List[list]:
     return [ss if d >= 0 else [(*s[:4], s[6], s[7], s[4], s[5], s[8]) for s in reversed(ss)] for d, ss in runs]
 
 
-def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, object], Dict[tuple, tuple]]:
-    """The contact map of a family and its triple points, from one pass over
-    its distinct vertex
-    abscissas, left to right.  Each chain is cut into x-monotone pieces and
-    vertical segments (`_pieces`).  Inside the open slab between two
+def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, object], Dict[tuple, tuple], List[str]]:
+    """The contact map of a family, its triple points and its non-simple
+    chains, from one pass over its distinct vertex abscissas, left to
+    right.  Each chain is cut into x-monotone pieces and vertical segments
+    (`_pieces`).  Inside the open slab between two
     consecutive abscissas every active piece is one segment, so the pairs
     that cross there are the inversions between the vertical order at the
     slab's left end and that at its right end; an insertion sort finds them,
@@ -445,15 +432,17 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     (equal keys at some abscissa: a touch, a vertex or endpoint contact, a
     crossing on the abscissa or an overlap) or with a slab crossing found
     twice (at a self-crossing point) gets `_pair_entry`; every other pair
-    meets only in its slab crossings.  A chain's pairs with itself are
-    dropped.  The triple points map each point on two non-degenerate pairs
-    to the sorted ids of their chains.  Inside a slab such a point is found
-    as a triple that the slab's swaps repeat; on an abscissa it is a tie,
-    so every pair through it is the kernel's."""
-    if len(cs) < 2:
-        return {}, {}
+    meets only in its slab crossings.  The triple points map each point on
+    two non-degenerate pairs to the sorted ids of their chains.  Inside a
+    slab such a point is found as a triple that the slab's swaps repeat; on
+    an abscissa it is a tie, so every pair through it is the kernel's.  Two
+    pieces p < q of one chain that meet make it non-simple (listed by id,
+    in family order) unless q = p + 1, they tie and the kernel finds only
+    their shared vertex; their slab crossings are ignored, since two pieces
+    leaving one vertex enter the order by key, not slope, and may swap in
+    the next slab."""
     segs = [c.scaled_segments(scale) for c in cs]
-    shift = 2 * max(s[1] - s[0] for ss in segs for s in ss).bit_length()
+    shift = 2 * max((s[1] - s[0] for ss in segs for s in ss), default=0).bit_length()
 
     def line_of(s):  # (A, B, dx, s): s's key at abscissa x is (A + B*x) // dx
         _, _, _, _, ax, ay, bx, by, _ = s
@@ -548,14 +537,28 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
             order = [c for c in order if c not in stops]
     n = len(cs)
     result: Dict[int, object] = {}
+    non_simple = []
     for i, ps in groupby(range(len(pieces)), owner.__getitem__):  # each chain's pieces
         hits: Dict[int, list] = {}
+        turns: Dict[int, list] = {}  # p -> what its row holds for the pair (p, p + 1) of this chain
+        simple = True
         for p in ps:
             row, met[p] = met[p], None  # so that the rows and the map are never held in full at once
             for q, t in zip(row[::2], row[1::2]):
                 j = owner[q]
                 if j != i:
                     hits.setdefault(j, []).append(t)
+                elif q == p + 1:
+                    turns.setdefault(p, []).append(t)
+                else:
+                    simple = False
+        for p, ts in turns.items():
+            try:
+                simple = simple and None in ts and len(_pair_points_int(pieces[p], pieces[p + 1])) == 1
+            except DegeneracyError:
+                simple = False
+        if not simple:
+            non_simple.append(cs[i].cid)
         for j in sorted(hits):
             ts = hits[j]
             if len(ts) == 1 and ts[0] is not None:  # one slab crossing
@@ -573,7 +576,7 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
         pairs = [ab for ab in combinations(sorted(on), 2) if t in (u for u, _ in _hits(result.get(ab[0] * n + ab[1])))]
         if len(pairs) > 1:
             triples[t] = tuple(sorted({cs[c].cid for pair in pairs for c in pair}))
-    return result, triples
+    return result, triples, non_simple
 
 
 # --- families --------------------------------------------------------------
@@ -607,6 +610,7 @@ class CurveFamily:
         self._by_id = {c.cid: c for c in self.curves}
         self._contacts: Optional[Dict[int, object]] = None
         self._triples: Dict[tuple, tuple] = {}
+        self._non_simple: List[str] = []
         self._report: Optional[ValidationReport] = None
         self._scale: Optional[int] = None
 
@@ -634,11 +638,12 @@ class CurveFamily:
         str) for a degenerate pair, the bare t of a lone proper crossing,
         and else the (t, 'cross' or 'touch') pairs in `_BY_XY` order; a
         disjoint pair has none.  One sweep (`_sweep_contacts`) finds the
-        slab crossings and the triple points, and the pair kernel runs only
-        on the pairs that tie on an abscissa or cross twice at one point, so
-        the map is `_pair_entry`'s on every pair, key order included."""
+        slab crossings, the triple points and the non-simple chains, which
+        are cached next to the map, and the pair kernel runs only on the
+        pairs that tie on an abscissa or cross twice at one point, so the
+        map is `_pair_entry`'s on every pair, key order included."""
         if self._contacts is None:
-            self._contacts, self._triples = _sweep_contacts(self.curves, self.scale)
+            self._contacts, self._triples, self._non_simple = _sweep_contacts(self.curves, self.scale)
         return self._contacts
 
     def pair_ids(self, key: int) -> Tuple[str, str]:
@@ -702,8 +707,8 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     The report is kept on the family, so later calls return the same one."""
     if family._report is not None:
         return family._report
-    non_simple = [c.cid for c in family.curves if not c.is_simple()]
     contacts = family.contacts()
+    non_simple = family._non_simple
     degenerate, multi, endpointish = [], [], []
     tang = crossn = 0
     n, scale = len(family), family.scale

@@ -10,9 +10,9 @@ cached contact map (`CurveFamily.contacts`).  No two chains meet inside a
 slab between consecutive events, so the vertical order changes only at an
 event point, among the chains through it: the sweep updates the order
 locally at each event point instead of sorting every slab, and walls only
-the gaps next to those chains.  Point location bisects a slab's order.  The
-sweep is the only check on a family: ValueError names a chain that is not
-x-monotone, DegeneracyError a degenerate pair.
+the gaps next to those chains.  Point location bisects a slab's gap cells
+by their ceilings.  The sweep is the only check on a family: ValueError
+names a chain that is not x-monotone, DegeneracyError a degenerate pair.
 
 All comparisons are exact, on ints of the family's scaled grid, with no
 float and no true division.  An event point is keyed by its int triple
@@ -261,31 +261,29 @@ class Partition:
     chains: walls erected up and down from every endpoint and intersection
     point until the first curve hit; cells tile the plane.
 
-    slab_curves[j] and slab_cells[j] are the sweep's order and gap cells in
-    slab j, which spans (xs[j-1], xs[j]); the outermost slabs are unbounded.
-    Point location reads the sweep's int abscissas and chain segments."""
+    slab_cells[j] holds the sweep's gap cells in slab j, which spans
+    (xs[j-1], xs[j]); the outermost slabs are unbounded.  Point location
+    bisects them by the int segments of their ceilings, the slab's chains
+    from bottom to top (the top gap's cell has none)."""
 
     def __init__(self, defining: CurveFamily):
         self.defining = defining
-        self.events_by_x, self.xs, slabs, self.cells, self._xw, self._geo = _sweep(defining)
-        self.slab_curves: List[List[PolyChain]] = [[]]
-        self.slab_cells: List[List[int]] = [[0]]
-        for order, gaps in slabs:
-            self.slab_curves.append(order)
-            self.slab_cells.append(gaps)
+        self.events_by_x, self.xs, slabs, self.cells, self._xw, geo = _sweep(defining)
+        self.slab_cells: List[List[int]] = [[0], *(gaps for _, gaps in slabs)]
+        self._ceiling = [None if t.top is None else geo[defining.curve(t.top)] for t in self.cells]  # as `_side` reads it
 
     @property
     def cell_count(self) -> int:
         return len(self.cells)
 
-    def _strip_of(self, slab: int, X: int, Y: int, W: int) -> Optional[int]:
-        """Gap of the slab's order holding the grid point (X/W, Y/W), or None
+    def _cell_of(self, slab: int, X: int, Y: int, W: int) -> Optional[int]:
+        """Cell of the slab's gap holding the grid point (X/W, Y/W), or None
         when it lies on a slab curve."""
-        order, geo = self.slab_curves[slab], self._geo
-        k = bisect_left(order, 0, key=lambda c: -_side(geo[c], X, Y, W))
-        if k < len(order) and _side(geo[order[k]], X, Y, W) == 0:
+        gaps, ceiling = self.slab_cells[slab], self._ceiling
+        k = bisect_left(gaps, 0, 0, len(gaps) - 1, key=lambda g: -_side(ceiling[g], X, Y, W))
+        if k < len(gaps) - 1 and _side(ceiling[gaps[k]], X, Y, W) == 0:
             return None
-        return k
+        return gaps[k]
 
     def locate(self, p: Point) -> Optional[int]:
         """Cell whose open interior contains p, or None when p lies on a cell
@@ -295,14 +293,9 @@ class Partition:
             return 0
         X, Y, W = _grid(p, self.defining.scale)
         i = bisect_left(xw, _BY_X((X, W)), key=_BY_X)
-        k = self._strip_of(i, X, Y, W)
-        if k is None:
-            return None
-        cell = self.slab_cells[i][k]
-        if i < len(xw) and xw[i][0] * W == X * xw[i][1]:
-            kr = self._strip_of(i + 1, X, Y, W)
-            if kr is None or self.slab_cells[i + 1][kr] != cell:
-                return None  # p sits on a curve or a wall
+        cell = self._cell_of(i, X, Y, W)
+        if cell is not None and i < len(xw) and xw[i][0] * W == X * xw[i][1] and self._cell_of(i + 1, X, Y, W) != cell:
+            return None  # p sits on a curve or a wall
         return cell
 
 
@@ -329,14 +322,13 @@ def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
     Each probe chain is walked left to right on one int grid, scaled by
     lcm(partition scale, family scale).  Its breakpoints are the event
     abscissas inside its span and its common points with the defining
-    chains (`_pair_hits`).  Between two breakpoints the chain stays
-    inside one slab and meets no defining chain, so the piece meets the one
-    cell that holds its midpoint, found by bisecting that slab's order.  The
+    chains (`_pair_hits`).  Between two breakpoints the chain stays inside
+    one slab and meets no defining chain, so the piece meets the one cell
+    that holds its midpoint, found by bisecting that slab's gap cells.  The
     endpoints go through `locate`.  A chain with the vertices of a chain of
     the partition, whatever its id, lies on cell boundaries only and is
-    skipped.  Raises ValueError on a probe chain
-    that is not x-monotone and DegeneracyError on one that overlaps a
-    defining chain."""
+    skipped.  Raises ValueError on a probe chain that is not x-monotone and
+    DegeneracyError on one that overlaps a defining chain."""
     defining = partition.defining
     scale = lcm(defining.scale, family.scale)
     up = scale // defining.scale  # (X, Y, W) on this grid is (X, Y, W * up) on the partition's
@@ -375,9 +367,9 @@ def cell_stats(partition: Partition, family: CurveFamily) -> List[CellStats]:
                 k += 1
             _, _, _, _, sx, sy, tx, ty, _ = segs[k]
             dx = tx - sx
-            gap = partition._strip_of(slab, X * dx, sy * dx * W + (ty - sy) * (X - sx * W), W * dx * up)
-            if gap is not None:
-                meets.setdefault(partition.slab_cells[slab][gap], set()).add(c.cid)
+            cell = partition._cell_of(slab, X * dx, sy * dx * W + (ty - sy) * (X - sx * W), W * dx * up)
+            if cell is not None:
+                meets.setdefault(cell, set()).add(c.cid)
             slab += event
             ax, aw = bx, bw
         for e in (c.start, c.end):
@@ -419,8 +411,10 @@ def cutting_search(
     Raises ValueError when a chain of the family is not x-monotone."""
     _require_x_monotone(family)
     n = len(family)
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    if n < 1:
+        raise ValueError("need a non-empty family")
+    if r < 1:
+        raise ValueError("need r >= 1")
     size = min(n, int(-(-a * r // 1)))  # ceil(a*r)
     rng = random.Random(seed)
     budget_cells = c_max * r * r

@@ -72,6 +72,36 @@ def test_is_simple_matches_fraction_oracle(c):
     assert c.is_simple() == want
 
 
+def test_non_simple_chains_come_from_the_contact_sweep():
+    """The sweep's non-simple chains, read by `validate_family` and by
+    `is_simple`, are those of the Fraction oracle: on unfiltered random
+    families, and on chains where a piece pair of one chain is a trap (two
+    runs leaving one vertex, which the sweep inserts in key order and swaps
+    in the next slab; a fold, a loop and a vertex on a later edge; two
+    consecutive runs that also cross where another chain passes)."""
+    for seed in range(200):
+        for fam in (_raw_random_family(seed), _raw_jordan_family(seed)):
+            want = [c.cid for c in fam.curves if not helpers.simple_oracle(c)]
+            assert validate_family(fam).non_simple == want
+            assert [c.cid for c in fam.curves if not c.is_simple()] == want
+    across = chain("p", (0, F(4, 3)), (4, F(4, 3)))  # through the crossing of the last case
+    hand = [
+        ((3, 0), (2, 0), (1, 0), (0, 0), (-1, 0), (-2, 0), (3, 2)),
+        ((0, 0), (0, 2), (0, 1)),
+        ((0, 0), (2, 0), (1, 2), (0, 0)),
+        ((0, 0), (2, 0), (2, 1), (1, 0)),
+        ((0, 0), (2, 2), (4, 0), (0, 2)),
+    ]
+    got = []
+    for verts in hand:
+        c = chain("c", *verts)
+        want = helpers.simple_oracle(c)
+        assert c.is_simple() == want
+        assert validate_family(CurveFamily([across, c])).non_simple == ([] if want else ["c"])
+        got.append(want)
+    assert got == [True, False, False, False, False]
+
+
 # --- contact classification ------------------------------------------------
 
 
@@ -535,7 +565,7 @@ def test_sweep_map_equals_the_pair_path(monkeypatch):
     for fam in fams:
         assert all(c.is_x_monotone() for c in fam.curves)
         calls.clear()
-        sweep, _ = curves._sweep_contacts(fam.curves, fam.scale)
+        sweep, _, _ = curves._sweep_contacts(fam.curves, fam.scale)
         scanned = set(calls)
         dense = helpers.dense_contacts(fam)
         assert list(sweep.items()) == list(dense.items())

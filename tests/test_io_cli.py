@@ -675,6 +675,16 @@ def test_cli_partition_cutting_bad_argument_exit_2(tmp_path, capsys, flag, value
     assert f"{flag} {value}" in captured.err and captured.out == ""
 
 
+def test_cli_partition_cutting_on_an_empty_family_blames_the_family(tmp_path, capsys):
+    """A header-only file has no curves: the cutting search names the empty
+    family, not --r, which is valid here."""
+    p = tmp_path / "empty.txt"
+    p.write_text("tanglab-family 1\n")
+    assert run(["partition", "--in", str(p), "--cutting", "--r", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "need a non-empty family" in captured.err and "r >=" not in captured.err and captured.out == ""
+
+
 def test_console_script_installed():
     # the child imports the tanglab under test, installed or not
     src = str(Path(tanglab.__file__).parents[1])

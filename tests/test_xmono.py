@@ -1,6 +1,7 @@
 from fractions import Fraction
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -152,6 +153,8 @@ def test_int_sweep_matches_the_fraction_reference():
         events_by_x, xs, slabs, cells, _, _ = xmono._sweep(fam)
         got = [([c.cid for c in order], gaps) for order, gaps in slabs]
         assert (events_by_x, xs, got, cells) == helpers.sweep_reference(fam)
+        for order, gaps in got:  # what `Partition` keeps of a slab: its order is its gaps' ceilings
+            assert order == [cells[g].top for g in gaps[:-1]] and cells[gaps[-1]].top is None
         assert all(type(v) is F for x in xs for v in (x, *events_by_x[x]))
 
 
@@ -311,6 +314,26 @@ def test_partition_locate_on_curve_is_none():
     fam = CurveFamily([chain("a", (0, 0), (4, 2))])
     part = trapezoidal_partition(fam)
     assert part.locate(pt(2, 1)) is None
+
+
+def test_partition_holds_at_most_620_bytes_per_cell():
+    """A partition of grounded k=2 keeps one list of gap cells per slab and
+    reads each slab's chains from the cells' ceilings: measured by
+    tracemalloc once the family's map and int segments are cached, it holds
+    at most 620 bytes per cell (a second list per slab of its chains took
+    about 690)."""
+    fam = gen_grounded_family(2)
+    fam.contacts()
+    for c in fam.curves:
+        c.scaled_segments(fam.scale)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        part = trapezoidal_partition(fam)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 620 * part.cell_count == 620 * 3_888
 
 
 def test_partition_rejects_non_x_monotone(monkeypatch):
@@ -547,6 +570,13 @@ def test_cutting_search_deterministic():
     r1 = cutting_search(fam, 2, seed=11)
     r2 = cutting_search(fam, 2, seed=11)
     assert isinstance(r1, tuple) and r1[0] == r2[0]
+
+
+def test_cutting_search_names_the_empty_family_or_r():
+    with pytest.raises(ValueError, match="^need a non-empty family$"):
+        cutting_search(CurveFamily([]), 2)
+    with pytest.raises(ValueError, match="^need r >= 1$"):
+        cutting_search(helpers.random_segment_family(0, 6), 0)
 
 
 def _segments_and_zigzag():
