@@ -20,15 +20,16 @@ one chain alike.  It reports int homogeneous points, which `common_points`
 turns into exact Fractions.  Classification runs on ints too: cross/touch,
 the tangency type and the position along a chain all read `_arcs`, the int
 arcs leaving a point.  A family caches its contact map, keyed by ints and
-holding int grid triples (a lone proper crossing is its bare triple, and
-builds no Fraction), and xmono reads that map.  Only a pair with a hit that
-is not a proper crossing goes through `common_points`.  Triples sort by
-`_BY_XY`, their Points' order; Points are built after the sort.  Every
-family's map, triple points and non-simple chains come from one sweep over
-the vertex abscissas (`_sweep_contacts`) of its chains cut into x-monotone
-pieces and vertical segments: slab crossings are order inversions, and
-only the pairs that tie on an abscissa or cross twice at one point reach
-the kernel, whose hits `_pair_entry` turns into an entry.
+holding int grid triples, except that a lone proper crossing is the int
+naming its two edges, and builds no Fraction; `_decode` turns any entry
+into its (triple, kind) pairs, and xmono reads the map through it.  Only a
+pair with a hit that is not a proper crossing goes through `common_points`.
+Triples sort by `_BY_XY`, their Points' order; Points are built after the
+sort.  Every family's map, triple points and non-simple chains come from
+one sweep over the vertex abscissas (`_sweep_contacts`) of its chains cut
+into x-monotone pieces and vertical segments: slab crossings are order
+inversions, and only the pairs that tie on an abscissa or cross twice at
+one point reach the kernel, whose hits `_pair_entry` turns into an entry.
 """
 
 from __future__ import annotations
@@ -66,14 +67,18 @@ class PolyChain:
 
     def __init__(self, cid: str, vertices: Iterable[Point]):
         self.cid = str(cid)
-        self.vertices: Tuple[Point, ...] = tuple(
-            Point(_rat(v[0]), _rat(v[1])) for v in vertices
-        )
-        if len(self.vertices) < 2:
+        vs = tuple(vertices)
+        if all(type(v) is Point and type(v.x) is Fraction and type(v.y) is Fraction for v in vs):
+            # kept as given; reduced Fractions are equal when their ratios are
+            keys: Sequence[tuple] = [(v.x.as_integer_ratio(), v.y.as_integer_ratio()) for v in vs]
+        else:
+            keys = vs = tuple(Point(_rat(v[0]), _rat(v[1])) for v in vs)
+        self.vertices: Tuple[Point, ...] = vs
+        if len(vs) < 2:
             raise ValueError(f"chain {cid}: need at least 2 vertices")
-        for a, b in zip(self.vertices, self.vertices[1:]):
+        for a, b, v in zip(keys, keys[1:], vs):
             if a == b:
-                raise ValueError(f"chain {cid}: repeated consecutive vertex {a}")
+                raise ValueError(f"chain {cid}: repeated consecutive vertex {v}")
         self._scale: Optional[int] = None
         self._scaled: Dict[int, list] = {}
         self._xmono: Optional[bool] = None
@@ -253,13 +258,15 @@ def _touch_type(c1: PolyChain, c2: PolyChain, p: Point, a1: tuple, a2: tuple) ->
 # --- pairwise common points -----------------------------------------------
 
 
-def _pair_points_int(segs1: list, segs2: list) -> List[Tuple[Tuple[int, int, int], bool]]:
+def _pair_points_int(segs1: list, segs2: list) -> List[Tuple[Tuple[int, int, int], Optional[Tuple[int, int]]]]:
     """Common points of two chains given their segment lists on one scaled
     grid, as reduced homogeneous int triples (x, y, w), w > 0, standing for
-    the grid point (x/w, y/w); each is paired with True when the point is a
-    strictly interior transversal crossing (which needs no further
-    classification).  Raises DegeneracyError on positive-length overlap."""
-    out: Dict[Tuple[int, int, int], bool] = {}
+    the grid point (x/w, y/w).  Each is paired with the chain-order indices
+    (a, b) of the edge of segs1 and the edge of segs2 that cross there when
+    the point is a strictly interior transversal crossing of exactly those
+    two edges (which needs no further classification), and with None
+    otherwise.  Raises DegeneracyError on positive-length overlap."""
+    out: Dict[Tuple[int, int, int], Optional[Tuple[int, int]]] = {}
     j_lo = 0
     n2 = len(segs2)
     for s1 in segs1:
@@ -297,11 +304,11 @@ def _pair_points_int(segs1: list, segs2: list) -> List[Tuple[Tuple[int, int, int
                     continue
                 if any(q != pts[0] for q in pts):
                     raise DegeneracyError("collinear overlap of positive length")
-                out[pts[0] + (1,)] = False
+                out[pts[0] + (1,)] = None
                 continue
             if (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0) and 0 not in (o1, o2, o3, o4):
                 q = _crossing(s1, s2)
-                out[q] = q not in out
+                out[q] = None if q in out else (s1[8], s2[8])
                 continue
             hit = None
             if o1 == 0 and minx1 <= cx <= maxx1 and miny1 <= cy <= maxy1:
@@ -313,7 +320,7 @@ def _pair_points_int(segs1: list, segs2: list) -> List[Tuple[Tuple[int, int, int
             elif o4 == 0 and s2[0] <= bx <= s2[1] and s2[2] <= by <= s2[3]:
                 hit = (bx, by)
             if hit is not None:
-                out[hit + (1,)] = False
+                out[hit + (1,)] = None
     return list(out.items())
 
 
@@ -369,20 +376,23 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
     if scale is None:
         scale = lcm(c1.scale, c2.scale)
     hits = _pair_hits((c1.cid, c2.cid), c1.scaled_segments(scale), c2.scaled_segments(scale))
-    pts = [(_point(q, scale), proper) for q, proper in sorted(hits, key=lambda h: _BY_XY(h[0]))]
-    return [(p, "cross" if proper else classify_contact(c1, c2, p)) for p, proper in pts]
+    pts = [(_point(q, scale), edges) for q, edges in sorted(hits, key=lambda h: _BY_XY(h[0]))]
+    return [(p, "cross" if edges else classify_contact(c1, c2, p)) for p, edges in pts]
 
 
 def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: int):
     """One pair's contact-map entry from the pair kernel, None if disjoint
-    (see `CurveFamily.contacts`).  Proper crossings are stored as the kernel
-    found them, a lone one bare; a pair with any other hit (a touch, a
+    (see `CurveFamily.contacts`).  A lone proper crossing is stored as the
+    int a * m + b, where a and b are the chain-order indices of the crossing
+    edges of c1 and of c2 and m is c2's edge count; several proper
+    crossings as their triples; a pair with any other hit (a touch, a
     vertex or endpoint contact) is classified by `common_points`."""
     try:
         hits = _pair_hits((c1.cid, c2.cid), segs1, segs2)
         if len(hits) == 1 and hits[0][1]:
-            return hits[0][0]
-        if hits and all(proper for _, proper in hits):  # crossings need no classification
+            a, b = hits[0][1]
+            return a * len(segs2) + b
+        if hits and all(edges for _, edges in hits):  # crossings need no classification
             return tuple((t, "cross") for t in sorted((t for t, _ in hits), key=_BY_XY))
         if hits:
             return tuple((_grid(p, scale), kind) for p, kind in common_points(c1, c2, scale))
@@ -391,21 +401,25 @@ def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: i
     return None
 
 
-def _hits(entry) -> tuple:
-    """The (triple, kind) pairs of a contact-map entry; none for None or a
-    degenerate pair's message."""
-    if entry is None or type(entry) is str:
-        return ()
-    return ((entry, "cross"),) if type(entry[0]) is int else entry
+def _decode(entry, edges1: list, edges2: list) -> tuple:
+    """The (triple, kind) pairs of a contact-map entry, given the two
+    chains' `_int_segments` in chain order, in family order (an x-monotone
+    chain's `scaled_segments` are in chain order): none for None or a
+    degenerate pair's message, and for a lone crossing a * m + b the point
+    where edges1[a] crosses edges2[b] (m = len(edges2))."""
+    if type(entry) is int:
+        a, b = divmod(entry, len(edges2))
+        return ((_crossing(edges1[a], edges2[b]), "cross"),)
+    return () if entry is None or type(entry) is str else entry
 
 
-def _pieces(segs: list) -> List[list]:
-    """A chain's `_int_segments`, taken in chain order, cut into maximal
+def _pieces(edges: list) -> List[list]:
+    """A chain's `_int_segments`, in chain order, cut into maximal
     x-monotone runs and vertical segments, each piece a list of segments
     with ax <= bx: a run whose x decreases is stored reversed, its segments
     flipped."""
     runs: List[Tuple[int, list]] = []  # (sign of bx - ax, segments)
-    for s in sorted(segs, key=lambda s: s[8]):
+    for s in edges:
         d = (s[6] > s[4]) - (s[6] < s[4])
         if d and runs and runs[-1][0] == d:
             runs[-1][1].append(s)
@@ -421,27 +435,32 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     (`_pieces`).  Inside the open slab between two
     consecutive abscissas every active piece is one segment, so the pairs
     that cross there are the inversions between the vertical order at the
-    slab's left end and that at its right end; an insertion sort finds them,
-    and each crossing's triple is computed at its swap.  The orders compare
-    int keys floor(y * 2^S), S twice the bit length of the widest segment's
-    dx: two ordinates at an int abscissa have denominators below 2^(S/2), so
-    they differ by more than 2^-S unless equal, and the keys are exact in
-    order and in equality.  A vertical segment (x, ylo, yhi) ties with each
-    piece whose key at x lies in [ylo * 2^S, yhi * 2^S] and with each
-    vertical segment at x that overlaps it.  A pair of chains with a tie
-    (equal keys at some abscissa: a touch, a vertex or endpoint contact, a
-    crossing on the abscissa or an overlap) or with a slab crossing found
-    twice (at a self-crossing point) gets `_pair_entry`; every other pair
-    meets only in its slab crossings.  The triple points map each point on
-    two non-degenerate pairs to the sorted ids of their chains.  Inside a
-    slab such a point is found as a triple that the slab's swaps repeat; on
-    an abscissa it is a tie, so every pair through it is the kernel's.  Two
-    pieces p < q of one chain that meet make it non-simple (listed by id,
-    in family order) unless q = p + 1, they tie and the kernel finds only
-    their shared vertex; their slab crossings are ignored, since two pieces
-    leaving one vertex enter the order by key, not slope, and may swap in
-    the next slab."""
+    slab's left end and that at its right end; an insertion sort finds them.
+    Each swap records the int a * m + b of the two crossing edges (the
+    map's entry for a lone crossing, see `_pair_entry`), and computes the
+    crossing's triple only for the slab's triple-point check.  The orders
+    compare int keys floor(y * 2^S), S twice the bit length of the widest
+    segment's dx: two ordinates at an int abscissa have denominators below
+    2^(S/2), so they differ by more than 2^-S unless equal, and the keys
+    are exact in order and in equality.  A vertical segment (x, ylo, yhi)
+    ties with each piece whose key at x lies in [ylo * 2^S, yhi * 2^S] and
+    with each vertical segment at x that overlaps it.  A pair of chains
+    with a tie (equal keys at some abscissa: a touch, a vertex or endpoint
+    contact, a crossing on the abscissa or an overlap) or with a slab
+    crossing found twice (at a self-crossing point) gets `_pair_entry`;
+    every other pair meets only in its slab crossings, kept as the int of a
+    lone one or decoded to sorted triples for several.  The triple points
+    map each point on two non-degenerate pairs to the sorted ids of their
+    chains.  Inside a slab such a point is found as a triple that the
+    slab's swaps repeat; on an abscissa it is a tie, so every pair through
+    it is the kernel's.  A candidate counts on the pairs whose decoded
+    entries hold it.  Two pieces p < q of one chain that meet make it
+    non-simple (listed by id, in family order) unless q = p + 1, they tie
+    and the kernel finds only their shared vertex; their slab crossings are
+    ignored, since two pieces leaving one vertex enter the order by key,
+    not slope, and may swap in the next slab."""
     segs = [c.scaled_segments(scale) for c in cs]
+    edges = [sorted(ss, key=lambda s: s[8]) for ss in segs]  # in chain order, as `_decode` reads them
     shift = 2 * max((s[1] - s[0] for ss in segs for s in ss), default=0).bit_length()
 
     def line_of(s):  # (A, B, dx, s): s's key at abscissa x is (A + B*x) // dx
@@ -450,10 +469,11 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
 
     pieces: List[list] = []  # numbered chain by chain
     owner: List[int] = []  # each piece's chain
-    for c, ss in enumerate(segs):
+    for c, ss in enumerate(edges):
         for piece in _pieces(ss):
             pieces.append(piece)
             owner.append(c)
+    size = [len(segs[c]) for c in owner]  # each piece's chain's edge count
     starts: Dict[int, List[int]] = {}  # abscissa -> pieces starting there
     ends: Dict[int, List[int]] = {}  # abscissa -> pieces with a segment ending there
     walls: Dict[int, List[int]] = {}  # abscissa -> vertical pieces there, by ylo
@@ -471,7 +491,8 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     key = [0] * len(pieces)
     order: List[int] = []  # active pieces, bottom to top just right of the last abscissa
     # met[p]: q, t, q, t, ... for the pairs (p, q > p) in sweep order, t the
-    # triple of a slab crossing, or None where they tie at an abscissa
+    # int a * size[q] + b of a slab crossing of p's edge a and q's edge b
+    # (its map entry, `_decode`), or None where they tie at an abscissa
     met: List[Optional[list]] = [[] for _ in pieces]
     slab: Dict[tuple, tuple] = {}  # the current slab's crossings -> the chains of the first swap there
     shared: Dict[tuple, set] = {}  # points that may lie on two pairs -> their chains
@@ -491,9 +512,9 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
                     e = order[k - 1]
                     order[k] = e
                     k -= 1
-                    row, j = (met[c], e) if c < e else (met[e], c)
+                    p, q = (c, e) if c < e else (e, c)
+                    met[p] += q, line[p][3][8] * size[q] + line[q][3][8]
                     t = _crossing(line[c][3], line[e][3])
-                    row += j, t
                     pair = owner[c], owner[e]
                     if slab.setdefault(t, pair) is not pair:
                         shared.setdefault(t, set(slab[t])).update(pair)
@@ -562,18 +583,24 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
         for j in sorted(hits):
             ts = hits[j]
             if len(ts) == 1 and ts[0] is not None:  # one slab crossing
-                entry = ts[0]
-            elif None in ts or len(set(ts)) < len(ts):
+                result[i * n + j] = ts[0]
+                continue
+            pts = None if None in ts else [_decode(t, edges[i], edges[j])[0][0] for t in ts]
+            if pts is None or len(set(pts)) < len(pts):
                 entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
-                for t, _ in _hits(entry):  # every point on an abscissa is a kernel pair's
+                for t, _ in _decode(entry, edges[i], edges[j]):  # every point on an abscissa is a kernel pair's
                     shared.setdefault(t, set()).update((i, j))
             else:  # distinct slab crossings
-                entry = tuple((t, "cross") for t in sorted(ts, key=_BY_XY))
+                entry = tuple((t, "cross") for t in sorted(pts, key=_BY_XY))
             if entry is not None:
                 result[i * n + j] = entry
     triples = {}
     for t, on in shared.items():  # t counts only on the non-degenerate pairs whose entries hold it
-        pairs = [ab for ab in combinations(sorted(on), 2) if t in (u for u, _ in _hits(result.get(ab[0] * n + ab[1])))]
+        pairs = [
+            (a, b)
+            for a, b in combinations(sorted(on), 2)
+            if t in (u for u, _ in _decode(result.get(a * n + b), edges[a], edges[b]))
+        ]
         if len(pairs) > 1:
             triples[t] = tuple(sorted({cs[c].cid for pair in pairs for c in pair}))
     return result, triples, non_simple
@@ -635,9 +662,12 @@ class CurveFamily:
         positions i < j of two chains in `self.curves` and n = len(self)
         (`pair_ids`).  A common point is its reduced int triple t on the
         grid of `self.scale` (`_grid`).  An entry is the kernel's message (a
-        str) for a degenerate pair, the bare t of a lone proper crossing,
-        and else the (t, 'cross' or 'touch') pairs in `_BY_XY` order; a
-        disjoint pair has none.  One sweep (`_sweep_contacts`) finds the
+        str) for a degenerate pair, the int a * m + b of a lone proper
+        crossing of edge a of chain i and edge b of chain j (chain-order
+        edge indices, m the edge count of chain j), and else the (t, 'cross'
+        or 'touch') pairs in `_BY_XY` order, a tuple; a disjoint pair has
+        none.  `_decode` gives any entry's (t, kind) pairs.  One sweep
+        (`_sweep_contacts`) finds the
         slab crossings, the triple points and the non-simple chains, which
         are cached next to the map, and the pair kernel runs only on the
         pairs that tie on an abscissa or cross twice at one point, so the
@@ -715,7 +745,7 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     disj = n * (n - 1) // 2 - len(contacts)
     ends = {c.cid: (_grid(c.start, scale), _grid(c.end, scale)) for c in family.curves}
     for key, entry in contacts.items():
-        if type(entry[0]) is int:  # a lone proper crossing, inside an edge of each chain
+        if type(entry) is int:  # a lone proper crossing, inside an edge of each chain
             crossn += 1
             continue
         i, j = family.pair_ids(key)
@@ -825,7 +855,7 @@ def tangency_graph(family: CurveFamily, strict: bool = True) -> TangencyGraph:
         raise DegeneracyError(_witnesses(family, rep, 1)[0])
     edges = []
     for key, entry in contacts.items():
-        if type(entry[0]) is not tuple:  # a lone crossing, or a degenerate pair's message
+        if type(entry) is not tuple:  # a lone crossing, or a degenerate pair's message
             continue
         for t, kind in entry:
             if kind == "touch":

@@ -6,7 +6,9 @@ cutting search, and bi-infinite extension by steep rays.
 
 Everything reads one sweep (`_sweep`) over the family's *event* abscissas —
 chain endpoints and pairwise common points, the latter from the family's
-cached contact map (`CurveFamily.contacts`).  No two chains meet inside a
+cached contact map (`CurveFamily.contacts`), each entry read through
+`curves._decode`: a lone crossing is stored as the int naming its two
+edges, and decoding computes its triple.  No two chains meet inside a
 slab between consecutive events, so the vertical order changes only at an
 event point, among the chains through it: the sweep updates the order
 locally at each event point instead of sorting every slab, and walls only
@@ -33,7 +35,7 @@ from functools import cmp_to_key
 from math import lcm
 from typing import Dict, List, Optional, Set, Tuple
 
-from .curves import _BY_XY, CurveFamily, DegeneracyError, PolyChain, _grid, _hits, _pair_hits, _point, common_points
+from .curves import _BY_XY, CurveFamily, DegeneracyError, PolyChain, _decode, _grid, _pair_hits, _point, common_points
 from .geom import Point
 
 
@@ -110,8 +112,8 @@ def _sweep(family: CurveFamily):
     for key, entry in family.contacts().items():
         if type(entry) is str:
             raise DegeneracyError(entry)
-        a, b = family.pair_ids(key)
-        points += [(t, None, (family.curve(a), family.curve(b))) for t, _ in _hits(entry)]
+        a, b = map(family.curve, family.pair_ids(key))
+        points += [(t, None, (a, b)) for t, _ in _decode(entry, geo[a][0], geo[b][0])]
     through: Dict[Tuple[int, int, int], list] = {}  # grid triple -> [an endpoint there or None, chains through it]
     for t, p, chains in points:
         through.setdefault(t, [p, set()])[1].update(chains)
@@ -481,7 +483,10 @@ def biinfinite_extend(
             if s >= steep:
                 steep = s + 1
 
-    before = {key: len(_hits(entry)) or None for key, entry in family.contacts().items()}
+    def count(fam: CurveFamily, key: int, entry) -> int:  # the common points of a map entry
+        return len(_decode(entry, *(c.scaled_segments(fam.scale) for c in map(fam.curve, fam.pair_ids(key)))))
+
+    before = {key: count(family, key, entry) or None for key, entry in family.contacts().items()}
 
     last_error = None
     for bump in range(32):
@@ -507,7 +512,7 @@ def biinfinite_extend(
             if type(entry) is str:
                 ok, last_error = False, entry
                 break
-            prev, now = before.get(key, 0), len(_hits(entry))
+            prev, now = before.get(key, 0), count(out, key, entry)
             if prev is None or now > prev + 2:
                 ok, last_error = False, f"{out.pair_ids(key)}: {prev} -> {now} common points"
                 break

@@ -972,13 +972,16 @@ def dense_contacts(family):
 def contact_entries(family):
     """The family's contact map read by chain ids, in map order:
     {(id_i, id_j): ('degenerate', message) or ('ok', ((t, kind), ...))},
-    a lone crossing's bare triple t read as ((t, 'cross'),)."""
+    every other entry, a lone crossing's int included, decoded by
+    `curves._decode`."""
     from tanglab import curves
 
-    return {
-        family.pair_ids(key): ("degenerate", entry) if type(entry) is str else ("ok", curves._hits(entry))
-        for key, entry in family.contacts().items()
-    }
+    edges = {c.cid: curves._int_segments(c.vertices, family.scale) for c in family.curves}
+    out = {}
+    for key, entry in family.contacts().items():
+        i, j = ids = family.pair_ids(key)
+        out[ids] = ("degenerate", entry) if type(entry) is str else ("ok", curves._decode(entry, edges[i], edges[j]))
+    return out
 
 
 def shared_points_oracle(family):

@@ -22,7 +22,7 @@ from tanglab import (
     tangency_type,
     validate_family,
 )
-from tanglab import curves
+from tanglab import curves, geom
 from tanglab.curves import chain_position, classify_contact
 
 import helpers
@@ -368,9 +368,9 @@ def test_contact_map_keys_and_report_match_dense_recount():
         contacts = helpers.contact_entries(fam)
         assert contacts.keys() == keys.keys()
         for key, entry in fam.contacts().items():
-            # a lone crossing is its bare triple, other meeting pairs a tuple of (triple, kind)
-            if type(entry) is not str and type(entry[0]) is int:
-                assert len(entry) == 3 and len(keys[fam.pair_ids(key)][1]) == 1
+            # a lone crossing is the int naming its two edges, other meeting pairs a tuple of (triple, kind)
+            if type(entry) is int:
+                assert len(keys[fam.pair_ids(key)][1]) == 1
         for key, (status, data) in contacts.items():
             # the map holds grid triples and tuples; common_points, Points and lists
             if status == "ok":
@@ -416,10 +416,12 @@ def test_triple_points_match_the_scan_over_every_common_point():
     assert {(3, False, False), (5, False, False)} <= found
 
 
-def test_contact_map_holds_at_most_360_bytes_per_entry():
+def test_contact_map_holds_at_most_150_bytes_per_entry():
     """Grounded k=3's map, measured by tracemalloc once the chains' int
-    segments are cached, holds at most 360 bytes per entry: almost every
-    entry is a lone crossing, stored as its bare triple under an int key."""
+    segments are cached, holds at most 150 bytes per entry, and building it
+    peaks at most 220 bytes per entry above the start: almost every entry
+    is a lone crossing, stored as the int naming its two edges under an int
+    key (a bare triple took 267 bytes held and 309 at the peak)."""
     fam = gen_grounded_family(3)
     for c in fam.curves:
         c.scaled_segments(fam.scale)
@@ -427,10 +429,66 @@ def test_contact_map_holds_at_most_360_bytes_per_entry():
     try:
         before = tracemalloc.get_traced_memory()[0]
         contacts = fam.contacts()
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert held <= 360 * len(contacts) == 360 * 12_728
+    assert held <= 150 * len(contacts) == 150 * 12_728
+    assert peak <= 220 * len(contacts)
+
+
+def _lone_crossings(fam):
+    """(i, j, entry, t) for each lone-crossing entry of the family's map, by
+    the chains' positions, with the triple `_decode` gives it."""
+    edges = [curves._int_segments(c.vertices, fam.scale) for c in fam.curves]
+    out = []
+    for key, entry in fam.contacts().items():
+        if type(entry) is int:
+            i, j = divmod(key, len(fam))
+            ((t, kind),) = curves._decode(entry, edges[i], edges[j])
+            assert kind == "cross"
+            out.append((i, j, entry, t))
+    return out
+
+
+def test_a_lone_crossing_decodes_to_the_kernels_hit_on_both_named_edges():
+    """Each int entry a * m + b (m the second chain's edge count) decodes to
+    the one hit the pair kernel reports for its pair, and edge a of the
+    first chain and edge b of the second both hold that point, on the
+    tests' families and on grounded k=1..3."""
+    fams = list(_differential_families()) + _tie_families() + list(_map_families())
+    fams += [_raw_xmono_family(seed) for seed in range(100)] + [_raw_jordan_family(seed) for seed in range(100)]
+    count = 0
+    for fam in fams:
+        cs, scale = fam.curves, fam.scale
+        for i, j, entry, t in _lone_crossings(fam):
+            (hit,) = curves._pair_points_int(cs[i].scaled_segments(scale), cs[j].scaled_segments(scale))
+            edges = divmod(entry, len(cs[j].vertices) - 1)
+            assert (t, edges) == hit
+            p = curves._point(t, scale)
+            for c, e in zip((cs[i], cs[j]), edges):
+                assert geom.on_segment(p, geom.Segment(*c.vertices[e : e + 2]))
+            count += 1
+    assert count > 40_000
+
+
+def test_a_lone_crossing_from_the_kernel_is_the_int_the_sweep_stores(monkeypatch):
+    """A lone crossing on another chain's vertex abscissa ties there, so the
+    pair kernel builds its entry; the two chains alone meet inside a slab,
+    where the sweep finds the crossing and stores the same int."""
+    fams = _tie_families() + [_raw_xmono_family(seed) for seed in range(400)]
+    calls = helpers.count_pair_scans(monkeypatch, *fams)
+    entries = []
+    for fam in fams:
+        calls.clear()
+        cs, scale = fam.curves, fam.scale
+        vxs = {v.x for c in cs for v in c.vertices}
+        for i, j, entry, t in _lone_crossings(fam):
+            x = curves._point(t, scale).x
+            if x in vxs and x not in {v.x for c in (cs[i], cs[j]) for v in c.vertices}:
+                assert frozenset((cs[i].cid, cs[j].cid)) in calls
+                assert fam.subfamily([cs[i].cid, cs[j].cid]).contacts() == {1: entry}
+                entries.append(entry)
+    assert len(entries) > 80 and len(set(entries)) > 3
 
 
 def test_contacts_scans_few_more_pairs_than_meet(monkeypatch):
@@ -546,10 +604,12 @@ def _meeting_on_an_abscissa(fam, contacts):
     """The pairs of a contact map that share a point on a vertex abscissa of
     the family (an overlap always does)."""
     vxs = {v.x for c in fam.curves for v in c.vertices}
+    edges = [curves._int_segments(c.vertices, fam.scale) for c in fam.curves]
     return {
         frozenset(fam.pair_ids(key))
         for key, entry in contacts.items()
-        if type(entry) is str or any(curves._point(t, fam.scale).x in vxs for t, _ in curves._hits(entry))
+        if type(entry) is str
+        or any(curves._point(t, fam.scale).x in vxs for t, _ in curves._decode(entry, *(edges[k] for k in divmod(key, len(fam)))))
     }
 
 
