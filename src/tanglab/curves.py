@@ -22,7 +22,7 @@ the tangency type and the position along a chain all read `_arcs`, the int
 arcs leaving a point.  A family caches its contact map, keyed by ints and
 holding int grid triples, except that a lone proper crossing is the int
 naming its two edges, and builds no Fraction; `_decode` turns any entry
-into its (triple, kind) pairs, and xmono reads the map through it.  Only a
+into its (triple, kind) pairs, and xmono's sweep reads the map so.  Only a
 pair with a hit that is not a proper crossing goes through `common_points`.
 Triples sort by `_BY_XY`, their Points' order; Points are built after the
 sort.  Every family's map, triple points and non-simple chains come from
@@ -39,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, groupby
+from itertools import groupby
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -67,12 +67,12 @@ class PolyChain:
 
     def __init__(self, cid: str, vertices: Iterable[Point]):
         self.cid = str(cid)
-        vs = tuple(vertices)
-        if all(type(v) is Point and type(v.x) is Fraction and type(v.y) is Fraction for v in vs):
-            # kept as given; reduced Fractions are equal when their ratios are
-            keys: Sequence[tuple] = [(v.x.as_integer_ratio(), v.y.as_integer_ratio()) for v in vs]
-        else:
-            keys = vs = tuple(Point(_rat(v[0]), _rat(v[1])) for v in vs)
+        # a Point of two Fractions is kept as given; reduced Fractions are equal when their ratios are
+        vs = tuple(
+            v if type(v) is Point and type(v.x) is Fraction and type(v.y) is Fraction else Point(_rat(v[0]), _rat(v[1]))
+            for v in vertices
+        )
+        keys = [(v.x.as_integer_ratio(), v.y.as_integer_ratio()) for v in vs]
         self.vertices: Tuple[Point, ...] = vs
         if len(vs) < 2:
             raise ValueError(f"chain {cid}: need at least 2 vertices")
@@ -452,9 +452,11 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     lone one or decoded to sorted triples for several.  The triple points
     map each point on two non-degenerate pairs to the sorted ids of their
     chains.  Inside a slab such a point is found as a triple that the
-    slab's swaps repeat; on an abscissa it is a tie, so every pair through
-    it is the kernel's.  A candidate counts on the pairs whose decoded
-    entries hold it.  Two pieces p < q of one chain that meet make it
+    slab's swaps repeat, each swap adding its pair's key i*n + j; on an
+    abscissa it is a tie, so every pair through it is the kernel's, which
+    adds its key at each of its points.  A candidate counts through the
+    keys whose entries are not degenerate; the key i*n + i of two pieces of
+    one chain has no entry.  Two pieces p < q of one chain that meet make it
     non-simple (listed by id, in family order) unless q = p + 1, they tie
     and the kernel finds only their shared vertex; their slab crossings are
     ignored, since two pieces leaving one vertex enter the order by key,
@@ -494,8 +496,9 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     # int a * size[q] + b of a slab crossing of p's edge a and q's edge b
     # (its map entry, `_decode`), or None where they tie at an abscissa
     met: List[Optional[list]] = [[] for _ in pieces]
-    slab: Dict[tuple, tuple] = {}  # the current slab's crossings -> the chains of the first swap there
-    shared: Dict[tuple, set] = {}  # points that may lie on two pairs -> their chains
+    n = len(cs)
+    slab: Dict[tuple, int] = {}  # the current slab's crossings -> the pair key of the first swap there
+    shared: Dict[tuple, set] = {}  # points that may lie on two pairs -> their pair keys i*n + j
     for x in sorted(ends.keys() | starts.keys() | walls.keys()):
         slab.clear()
         # keys at x; the inversions against the order left of x are the
@@ -514,10 +517,9 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
                     k -= 1
                     p, q = (c, e) if c < e else (e, c)
                     met[p] += q, line[p][3][8] * size[q] + line[q][3][8]
-                    t = _crossing(line[c][3], line[e][3])
-                    pair = owner[c], owner[e]
-                    if slab.setdefault(t, pair) is not pair:
-                        shared.setdefault(t, set(slab[t])).update(pair)
+                    t, pair = _crossing(line[c][3], line[e][3]), owner[p] * n + owner[q]
+                    if slab.setdefault(t, pair) != pair:
+                        shared.setdefault(t, {slab[t]}).add(pair)
                 order[k] = c
             while k and key[order[k - 1]] == kc:
                 e = order[k - 1]
@@ -556,7 +558,6 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
                 line[c] = line_of(pieces[c][at[c]])
         if stops:
             order = [c for c in order if c not in stops]
-    n = len(cs)
     result: Dict[int, object] = {}
     non_simple = []
     for i, ps in groupby(range(len(pieces)), owner.__getitem__):  # each chain's pieces
@@ -589,18 +590,14 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
             if pts is None or len(set(pts)) < len(pts):
                 entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
                 for t, _ in _decode(entry, edges[i], edges[j]):  # every point on an abscissa is a kernel pair's
-                    shared.setdefault(t, set()).update((i, j))
+                    shared.setdefault(t, set()).add(i * n + j)
             else:  # distinct slab crossings
                 entry = tuple((t, "cross") for t in sorted(pts, key=_BY_XY))
             if entry is not None:
                 result[i * n + j] = entry
     triples = {}
-    for t, on in shared.items():  # t counts only on the non-degenerate pairs whose entries hold it
-        pairs = [
-            (a, b)
-            for a, b in combinations(sorted(on), 2)
-            if t in (u for u, _ in _decode(result.get(a * n + b), edges[a], edges[b]))
-        ]
+    for t, keys in shared.items():  # t counts on its non-degenerate pairs (a chain's own key i*n + i has no entry)
+        pairs = [divmod(k, n) for k in keys if type(result.get(k, "")) is not str]
         if len(pairs) > 1:
             triples[t] = tuple(sorted({cs[c].cid for pair in pairs for c in pair}))
     return result, triples, non_simple

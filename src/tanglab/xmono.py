@@ -18,11 +18,14 @@ names a chain that is not x-monotone, DegeneracyError a degenerate pair.
 
 All comparisons are exact, on ints of the family's scaled grid, with no
 float and no true division.  An event point is keyed by its int triple
-(X, Y, W), and events are sorted by `curves._BY_XY`: x first (X1*W2
+(X, Y, W) alone, and events are sorted by `curves._BY_XY`: x first (X1*W2
 against X2*W1), then y.  Abscissa searches, the chains leaving a point (by
-slope) and the cuts of `cell_stats` are ordered the same way.  `xs`,
-`events_by_x` and the cell bounds reuse chain endpoints and build one Point
-per other event; every search reads the int abscissas.
+slope) and the cuts of `cell_stats` are ordered the same way.  `xs` holds
+one Fraction per event abscissa, which the cell and envelope bounds reuse;
+every search reads the int abscissas.  Outside the sweep no reader decodes
+an entry: `biinfinite_extend` counts its points from its shape, and
+`vertical_visibility_pairs` tests a cell's floor and ceiling by the map
+key i*n + j of their pair.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import cmp_to_key
 from math import lcm
 from typing import Dict, List, Optional, Set, Tuple
 
-from .curves import _BY_XY, CurveFamily, DegeneracyError, PolyChain, _decode, _grid, _pair_hits, _point, common_points
+from .curves import _BY_XY, CurveFamily, DegeneracyError, PolyChain, _decode, _grid, _pair_hits, common_points
 from .geom import Point
 
 
@@ -82,13 +85,13 @@ class Trapezoid:
 
 
 def _sweep(family: CurveFamily):
-    """(events_by_x, xs, slabs, cells, xw, geo) of an x-monotone family.
+    """(xs, slabs, cells, xw, geo) of an x-monotone family.
 
-    events_by_x maps each event abscissa to the sorted ys of the event points
-    there (chain endpoints and pairwise common points); xs are its keys in
-    order, and xw the same abscissas as int pairs (X, W) on the family's
-    grid; geo maps each chain to its int segments and their minxs.  The
-    chains through an event point p form one block of the vertical order
+    The event points are the chain endpoints and the pairwise common
+    points, keyed by their int triples alone.  xw lists their abscissas in
+    order as int pairs (X, W) on the family's grid and xs as Fractions, one
+    per abscissa; geo maps each chain to its int segments and their minxs.
+    The chains through an event point p form one block of the vertical order
     just left of p.  At each p, in order, the sweep finds that block by
     bisection at p, drops the chains ending at p, adds those starting there,
     and sorts the block by outgoing slope: a crossing pair swaps and a
@@ -105,31 +108,27 @@ def _sweep(family: CurveFamily):
     Raises ValueError on a chain that is not x-monotone and DegeneracyError
     on a degenerate pair."""
     _require_x_monotone(family)
-    scale = family.scale
-    geo = {c: c.scaled_segments(scale) for c in family.curves}
+    scale, curves = family.scale, family.curves
+    geo = {c: c.scaled_segments(scale) for c in curves}
     geo = {c: (segs, [s[0] for s in segs]) for c, segs in geo.items()}
-    points = [(_grid(e, scale), e, (c,)) for c in family.curves for e in (c.start, c.end)]
+    through: Dict[Tuple[int, int, int], Set[PolyChain]] = {}  # grid triple -> the chains through it
+    for c in curves:
+        for e in (c.start, c.end):
+            through.setdefault(_grid(e, scale), set()).add(c)
     for key, entry in family.contacts().items():
         if type(entry) is str:
             raise DegeneracyError(entry)
-        a, b = map(family.curve, family.pair_ids(key))
-        points += [(t, None, (a, b)) for t, _ in _decode(entry, geo[a][0], geo[b][0])]
-    through: Dict[Tuple[int, int, int], list] = {}  # grid triple -> [an endpoint there or None, chains through it]
-    for t, p, chains in points:
-        through.setdefault(t, [p, set()])[1].update(chains)
-    events_by_x: Dict[Fraction, List[Fraction]] = {}
+        a, b = (curves[i] for i in divmod(key, len(curves)))
+        for t, _ in _decode(entry, geo[a][0], geo[b][0]):
+            through.setdefault(t, set()).update((a, b))
     xw: List[Tuple[int, int]] = []
     groups: List[list] = []  # per abscissa: (key, chains through it) of its event points
     for key in sorted(through, key=_BY_XY):
-        p, on = through[key]
-        p = p or _point(key, scale)
         if not xw or xw[-1][0] * key[2] != key[0] * xw[-1][1]:
             xw.append((key[0], key[2]))
-            ys = events_by_x[p.x] = []
             groups.append([])
-        ys.append(p.y)
-        groups[-1].append((key, on))
-    xs = list(events_by_x)
+        groups[-1].append((key, through[key]))
+    xs = [Fraction(X, W * scale) for X, W in xw]
     cells = [Trapezoid(0, None, None, None, None)]
 
     def slabs():
@@ -165,7 +164,7 @@ def _sweep(family: CurveFamily):
             order, gaps = new, new_gaps
             yield order, gaps
 
-    return events_by_x, xs, slabs(), cells, xw, geo
+    return xs, slabs(), cells, xw, geo
 
 
 def starts_below(c1: PolyChain, c2: PolyChain) -> bool:
@@ -218,7 +217,7 @@ def lower_envelope(family: CurveFamily) -> List[EnvelopePiece]:
     LO, HI = at(lo), at(hi)
     if not LO < HI:
         raise ValueError("chains share no open x-interval")
-    _, xs, slabs, _, xw, _ = _sweep(family)
+    xs, slabs, _, xw, _ = _sweep(family)
     for c in chains:
         if LO < at(c.start.x) or at(c.end.x) < HI:
             raise ValueError(f"{c.cid} does not span the window [{lo}, {hi}]")
@@ -242,17 +241,13 @@ def vertical_visibility_pairs(family: CurveFamily) -> Set[Tuple[str, str]]:
     """Disjoint pairs that are vertically adjacent in some slab: a pair
     becomes adjacent only where a gap opens between them, so these are the
     floor and ceiling of some cell of the sweep."""
-    _, _, slabs, cells, _, _ = _sweep(family)
+    _, slabs, cells, _, _ = _sweep(family)
     for _ in slabs:
         pass
-    met = {family.pair_ids(key) for key in family.contacts()}  # a disjoint pair has no entry
-    return {
-        tuple(sorted((t.bottom, t.top)))
-        for t in cells
-        if None not in (t.bottom, t.top)
-        and (t.bottom, t.top) not in met
-        and (t.top, t.bottom) not in met
-    }
+    contacts, n = family.contacts(), len(family)  # a disjoint pair has no entry
+    pos = {c.cid: k for k, c in enumerate(family.curves)}
+    pairs = {tuple(sorted((pos[t.bottom], pos[t.top]))) for t in cells if None not in (t.bottom, t.top)}
+    return {tuple(sorted(family.pair_ids(i * n + j))) for i, j in pairs if i * n + j not in contacts}
 
 
 # --- trapezoidal decomposition --------------------------------------------
@@ -263,14 +258,15 @@ class Partition:
     chains: walls erected up and down from every endpoint and intersection
     point until the first curve hit; cells tile the plane.
 
-    slab_cells[j] holds the sweep's gap cells in slab j, which spans
-    (xs[j-1], xs[j]); the outermost slabs are unbounded.  Point location
-    bisects them by the int segments of their ceilings, the slab's chains
-    from bottom to top (the top gap's cell has none)."""
+    xs lists the event abscissas, one Fraction each (the event points are
+    not kept), and slab_cells[j] the sweep's gap cells in slab j, which
+    spans (xs[j-1], xs[j]); the outermost slabs are unbounded.  Point
+    location bisects them by the int segments of their ceilings, the slab's
+    chains from bottom to top (the top gap's cell has none)."""
 
     def __init__(self, defining: CurveFamily):
         self.defining = defining
-        self.events_by_x, self.xs, slabs, self.cells, self._xw, geo = _sweep(defining)
+        self.xs, slabs, self.cells, self._xw, geo = _sweep(defining)
         self.slab_cells: List[List[int]] = [[0], *(gaps for _, gaps in slabs)]
         self._ceiling = [None if t.top is None else geo[defining.curve(t.top)] for t in self.cells]  # as `_side` reads it
 
@@ -465,13 +461,7 @@ def biinfinite_extend(
         if m not in ("above", "below"):
             raise ValueError(f"bad mode {m!r} for {cid}")
     if window is None:
-        if family.window is not None:
-            window = family.window
-        else:
-            window = (
-                min(c.start.x for c in family.curves) - 1,
-                max(c.end.x for c in family.curves) + 1,
-            )
+        window = family.window or (min(c.start.x for c in family.curves) - 1, max(c.end.x for c in family.curves) + 1)
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if any(c.start.x < lo or c.end.x > hi for c in family.curves):
         raise ValueError("window does not contain the family")
@@ -483,10 +473,10 @@ def biinfinite_extend(
             if s >= steep:
                 steep = s + 1
 
-    def count(fam: CurveFamily, key: int, entry) -> int:  # the common points of a map entry
-        return len(_decode(entry, *(c.scaled_segments(fam.scale) for c in map(fam.curve, fam.pair_ids(key)))))
+    def count(entry) -> Optional[int]:  # the common points of a map entry, None for a degenerate pair
+        return None if type(entry) is str else 1 if type(entry) is int else len(entry)
 
-    before = {key: count(family, key, entry) or None for key, entry in family.contacts().items()}
+    before = {key: count(entry) for key, entry in family.contacts().items()}
 
     last_error = None
     for bump in range(32):
@@ -507,15 +497,11 @@ def biinfinite_extend(
             x_monotone=True,
             bi_infinite=True,
         )
-        ok = True
         for key, entry in out.contacts().items():
-            if type(entry) is str:
-                ok, last_error = False, entry
+            prev, now = before.get(key, 0), count(entry)
+            if now is None or prev is None or now > prev + 2:
+                last_error = entry if now is None else f"{out.pair_ids(key)}: {prev} -> {now} common points"
                 break
-            prev, now = before.get(key, 0), count(out, key, entry)
-            if prev is None or now > prev + 2:
-                ok, last_error = False, f"{out.pair_ids(key)}: {prev} -> {now} common points"
-                break
-        if ok:
+        else:
             return out
     raise DegeneracyError(f"bi-infinite extension failed: {last_error}")

@@ -859,7 +859,7 @@ def euler_cell_count(partition, box=10**6):
     segs = []
     for c in partition.defining.curves:
         segs.extend(chain_edges(c))
-    for x_e in partition.xs:
+    for x_e, ys in sweep_reference(partition.defining)[0].items():
         # a wall runs from its event point to the nearest curve below and above
         vals = [
             value_at(c, x_e)
@@ -867,7 +867,7 @@ def euler_cell_count(partition, box=10**6):
             if c.start.x <= x_e <= c.end.x
         ]
         spans = []
-        for y in partition.events_by_x[x_e]:
+        for y in ys:
             y0 = max((v for v in vals if v < y), default=-B)
             y1 = min((v for v in vals if v > y), default=B)
             spans.append((y0, y1))

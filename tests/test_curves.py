@@ -44,6 +44,19 @@ def test_polychain_rejects_too_short_and_repeats():
         PolyChain("a", [(0, 0), (0, 0), (1, 1)])
 
 
+def test_polychain_compares_mixed_vertices_by_value():
+    """A Point of Fractions is kept as given and any other vertex is rebuilt
+    as one; consecutive vertices are compared by value either way."""
+    p = Point(F(1), F(2))
+    with pytest.raises(ValueError, match=r"chain a: repeated consecutive vertex Point\(x=Fraction\(1, 1\)"):
+        PolyChain("a", [p, (1, 2), (3, 4)])
+    with pytest.raises(ValueError, match="repeated consecutive vertex"):
+        PolyChain("a", [(0, 0), (F(1), 2), Point(F(1), F(2))])
+    c = PolyChain("a", [p, (3, "5/2")])
+    assert c.vertices[0] is p and c.vertices == (p, Point(F(3), F(5, 2)))
+    assert all(type(v) is Point and type(v.x) is F and type(v.y) is F for v in c.vertices)
+
+
 def test_x_monotone():
     assert chain("a", (0, 1), (1, 0), (2, 1)).is_x_monotone()
     assert not chain("a", (0, 0), (1, 1), (0, 2)).is_x_monotone()

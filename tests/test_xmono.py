@@ -109,6 +109,18 @@ def test_envelope_matches_pointwise_min_oracle():
             assert piece.cid == cid
 
 
+def test_envelope_without_a_window_covers_the_span_all_chains_share():
+    """Chains of different spans and no window: the envelope covers [2, 8],
+    skipping the event slabs left of it and stopping at those right of it."""
+    chains = [chain("a", (0, 0), (5, 2), (10, 1)), chain("b", (2, 3), (5, -1), (8, 2)), chain("c", (1, 4), (6, 0), (9, -3))]
+    env = lower_envelope(CurveFamily(chains))
+    framed = CurveFamily(chains, window=(F(2), F(8)))
+    assert (env[0].lo, env[-1].hi) == (2, 8) and env == lower_envelope(framed)
+    assert all(p.hi == q.lo for p, q in zip(env, env[1:]))
+    for mid, cid in helpers.envelope_oracle(framed):
+        assert next(p for p in env if p.lo <= mid <= p.hi).cid == cid
+
+
 # --- vertical visibility ---------------------------------------------------
 
 
@@ -138,7 +150,7 @@ def _sweep_families():
 
 def test_sweep_matches_midpoint_sort_oracle():
     for fam in _sweep_families():
-        _, xs, slabs, *_ = xmono._sweep(fam)
+        xs, slabs, *_ = xmono._sweep(fam)
         orders = [[c.cid for c in order] for order, _ in slabs]
         assert orders[-1] == []  # right of every event
         assert (xs, orders[:-1]) == helpers.slab_orders_oracle(fam)
@@ -150,12 +162,12 @@ def test_int_sweep_matches_the_fraction_reference():
     fams += [gen_vee_fan(8), gen_doubling(3), gen_grounded_family(2)]
     fams += helpers.xmono_hand_families() + helpers.xmono_adversarial_families()
     for fam in fams:
-        events_by_x, xs, slabs, cells, _, _ = xmono._sweep(fam)
+        xs, slabs, cells, _, _ = xmono._sweep(fam)
         got = [([c.cid for c in order], gaps) for order, gaps in slabs]
-        assert (events_by_x, xs, got, cells) == helpers.sweep_reference(fam)
+        assert (xs, got, cells) == helpers.sweep_reference(fam)[1:]
         for order, gaps in got:  # what `Partition` keeps of a slab: its order is its gaps' ceilings
             assert order == [cells[g].top for g in gaps[:-1]] and cells[gaps[-1]].top is None
-        assert all(type(v) is F for x in xs for v in (x, *events_by_x[x]))
+        assert all(type(x) is F for x in xs)
 
 
 def test_xmono_layer_makes_no_fraction_comparisons(monkeypatch):
@@ -167,14 +179,15 @@ def test_xmono_layer_makes_no_fraction_comparisons(monkeypatch):
     sub = fam.subfamily(fam.ids[::4])
     for f in (fam, sub):
         validate_family(f)
+    events_by_x = helpers.sweep_reference(sub)[0]  # the oracle compares Fractions
     calls = []
     for name in ("__lt__", "__le__", "__gt__", "__ge__"):
         monkeypatch.setattr(F, name, lambda a, b, cmp=getattr(F, name): calls.append(1) or cmp(a, b))
     lower_envelope(fam)
     vertical_visibility_pairs(fam)
     part = xmono.Partition(sub)
-    for x in part.xs:
-        for y in part.events_by_x[x]:
+    for x, ys in events_by_x.items():
+        for y in ys:
             assert part.locate(pt(x, y)) is None
     cell_stats(part, fam)
     monkeypatch.undo()
@@ -187,6 +200,7 @@ def test_envelope_evaluates_chains_near_each_event_point_only(monkeypatch):
     fam = helpers.random_spanning_family(27, 40)
     n = len(fam)
     assert n == 40
+    event_points = sum(map(len, helpers.sweep_reference(fam)[0].values()))
     calls = []
 
     def counting(fn):
@@ -200,11 +214,28 @@ def test_envelope_evaluates_chains_near_each_event_point_only(monkeypatch):
     if hasattr(xmono, "_side"):
         monkeypatch.setattr(xmono, "_side", counting(xmono._side))
     lower_envelope(fam)
-    event_points = sum(len(ys) for ys in xmono._sweep(fam)[0].values())
     bound = F(6, 5) * event_points * math.log2(n)
     assert len(calls) <= bound
     _, orders = helpers.slab_orders_oracle(fam)
     assert sum(map(len, orders)) >= 5 * bound
+
+
+def test_sweep_builds_one_fraction_per_event_abscissa(monkeypatch):
+    """Event points are keyed by int triples: once the contact map and the
+    segments are cached, the sweep builds one Fraction per event abscissa,
+    its entry of `xs`, and none per event point."""
+    fam = helpers.random_spanning_family(49, 56)
+    fam.contacts()
+    for c in fam.curves:
+        c.scaled_segments(fam.scale)
+    made = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: made.append(1) or new(cls, *a, **k))
+    xs, slabs, *_ = xmono._sweep(fam)
+    for _ in slabs:
+        pass
+    monkeypatch.undo()
+    assert len(xs) == 2245 and len(made) <= len(xs)
 
 
 def _probe_points(part, rng):
@@ -213,6 +244,7 @@ def _probe_points(part, rng):
     event lines."""
     curves = part.defining.curves
     xs = part.xs
+    events_by_x = helpers.sweep_reference(part.defining)[0]
     lo_x, hi_x = xs[0] - 1, xs[-1] + 1
     ys = [v.y for c in curves for v in c.vertices]
     lo_y, hi_y = min(ys) - 1, max(ys) + 1
@@ -227,7 +259,7 @@ def _probe_points(part, rng):
     for x in rng.sample(xs, min(12, len(xs))):
         vals = sorted(value_at(c, x) for c in curves if c.start.x <= x <= c.end.x)
         points.append(pt(x, rand(lo_y, hi_y)))
-        for y in part.events_by_x[x]:
+        for y in events_by_x[x]:
             above = [v for v in vals if v > y]
             below = [v for v in vals if v < y]
             points.append(pt(x, y))
@@ -254,6 +286,7 @@ def test_locate_matches_linear_scan_oracle():
 def test_partition_empty_family():
     part = trapezoidal_partition(CurveFamily([]))
     assert part.cell_count == 1
+    assert part.locate(pt(1, 2)) == 0
 
 
 def test_partition_single_segment():
@@ -624,6 +657,19 @@ def test_biinfinite_extend_mode_map_names_exactly_the_curves():
         biinfinite_extend(fam, mode={"a": "above"})
     with pytest.raises(ValueError, match=r"missing \[\], unknown \['zz'\]"):
         biinfinite_extend(fam, mode={"a": "above", "b": "below", "zz": "above"})
+
+
+def test_biinfinite_extend_takes_the_family_window_or_one_unit_past_the_chains():
+    fam = CurveFamily([chain("a", (0, 0), (2, 0)), chain("b", (5, 3), (7, 3))])
+    for f, window in ((fam, (F(-1), F(8))), (CurveFamily(fam.curves, window=(F(-3), F(9))), (F(-3), F(9)))):
+        ext = biinfinite_extend(f)
+        assert ext.window == window and validate_family(ext).bi_infinite_ok
+
+
+def test_biinfinite_extend_gives_up_on_an_overlapping_pair():
+    fam = CurveFamily([chain("a", (0, 0), (4, 0)), chain("b", (2, 0), (6, 0))])
+    with pytest.raises(DegeneracyError, match="^bi-infinite extension failed: a/b: collinear overlap of positive length$"):
+        biinfinite_extend(fam)
 
 
 # --- paper-flavored properties ---------------------------------------------
