@@ -28,8 +28,9 @@ Triples sort by `_BY_XY`, their Points' order; Points are built after the
 sort.  Every family's map, triple points and non-simple chains come from
 one sweep over the vertex abscissas (`_sweep_contacts`) of its chains cut
 into x-monotone pieces and vertical segments: slab crossings are order
-inversions, and only the pairs that tie on an abscissa or cross twice at
-one point reach the kernel, whose hits `_pair_entry` turns into an entry.
+inversions, a slab's triple points are found per insertion run, and only
+the pairs that tie on an abscissa or cross twice at one point reach the
+kernel, whose hits `_pair_entry` turns into an entry.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import combinations, groupby
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -96,9 +97,10 @@ class PolyChain:
 
     def is_x_monotone(self) -> bool:
         """Strict monotonicity: vertex abscissas strictly increase (no vertical
-        edges).  Computed once per chain."""
+        edges).  Computed once per chain, on the abscissas' int ratios."""
         if self._xmono is None:
-            self._xmono = all(a.x < b.x for a, b in zip(self.vertices, self.vertices[1:]))
+            xs = [v.x.as_integer_ratio() for v in self.vertices]
+            self._xmono = all(a * d < c * b for (a, b), (c, d) in zip(xs, xs[1:]))
         return self._xmono
 
     # --- integer fast path -------------------------------------------------
@@ -324,17 +326,22 @@ def _pair_points_int(segs1: list, segs2: list) -> List[Tuple[Tuple[int, int, int
     return list(out.items())
 
 
+def _along(s1: tuple, s2: tuple) -> Tuple[int, int]:
+    """(tn, den): segment s2's line meets s1's at the parameter tn / den along s1 (den = 0: parallel)."""
+    _, _, _, _, ax, ay, bx, by, _ = s1
+    _, _, _, _, cx, cy, dx, dy, _ = s2
+    d2x, d2y = dx - cx, dy - cy
+    return (cx - ax) * d2y - (cy - ay) * d2x, (bx - ax) * d2y - (by - ay) * d2x
+
+
 def _crossing(s1: tuple, s2: tuple) -> Tuple[int, int, int]:
     """The reduced int triple (X, Y, W), W > 0, of the one common point of
     two `_int_segments` tuples known to cross transversally."""
     _, _, _, _, ax, ay, bx, by, _ = s1
-    _, _, _, _, cx, cy, dx, dy, _ = s2
-    d1x, d1y, d2x, d2y = bx - ax, by - ay, dx - cx, dy - cy
-    denom = d1x * d2y - d1y * d2x
-    tn = (cx - ax) * d2y - (cy - ay) * d2x
+    tn, denom = _along(s1, s2)
     if denom < 0:
         denom, tn = -denom, -tn
-    px, py = ax * denom + tn * d1x, ay * denom + tn * d1y
+    px, py = ax * denom + tn * (bx - ax), ay * denom + tn * (by - ay)
     g = gcd(px, py, denom)
     return px // g, py // g, denom // g
 
@@ -428,6 +435,22 @@ def _pieces(edges: list) -> List[list]:
     return [ss if d >= 0 else [(*s[:4], s[6], s[7], s[4], s[5], s[8]) for s in reversed(ss)] for d, ss in runs]
 
 
+def _slab_points(s: tuple, passed: list, flat: list, line: list, owner: list, n: int, shared: dict) -> None:
+    """Give `shared` each point inside a slab on three or more pieces:
+    segment s's piece and those overlapping it (`flat`), and the pieces
+    `passed` in s's insertion run that cross s at one parameter along it."""
+    params = [_along(s, line[e][3]) for e in passed]
+    if len(flat) == 1 and len({tn / den for tn, den in params}) == len(params):
+        return  # equal parameters round to equal floats; Fractions decide the rest
+    at: Dict[Fraction, list] = {}
+    for e, (tn, den) in zip(passed, params):
+        at.setdefault(Fraction(tn, den), []).append(e)
+    for es in at.values():
+        if len(es) + len(flat) > 2:  # a real coincidence: its triple, with every pair key among its pieces
+            pairs = combinations(sorted(flat + es), 2)
+            shared.setdefault(_crossing(s, line[es[0]][3]), set()).update(owner[p] * n + owner[q] for p, q in pairs)
+
+
 def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, object], Dict[tuple, tuple], List[str]]:
     """The contact map of a family, its triple points and its non-simple
     chains, from one pass over its distinct vertex abscissas, left to
@@ -437,12 +460,12 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     that cross there are the inversions between the vertical order at the
     slab's left end and that at its right end; an insertion sort finds them.
     Each swap records the int a * m + b of the two crossing edges (the
-    map's entry for a lone crossing, see `_pair_entry`), and computes the
-    crossing's triple only for the slab's triple-point check.  The orders
+    map's entry for a lone crossing, see `_pair_entry`).  Abscissas are
+    divided by g, their gcd on the grid (1 if all are 0), and the orders
     compare int keys floor(y * 2^S), S twice the bit length of the widest
-    segment's dx: two ordinates at an int abscissa have denominators below
-    2^(S/2), so they differ by more than 2^-S unless equal, and the keys
-    are exact in order and in equality.  A vertical segment (x, ylo, yhi)
+    dx / g: two ordinates at an abscissa have denominators below 2^(S/2),
+    so they differ by more than 2^-S unless equal, and the keys are exact
+    in order and in equality.  A vertical segment (x, ylo, yhi)
     ties with each piece whose key at x lies in [ylo * 2^S, yhi * 2^S] and
     with each vertical segment at x that overlaps it.  A pair of chains
     with a tie (equal keys at some abscissa: a touch, a vertex or endpoint
@@ -451,23 +474,27 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     every other pair meets only in its slab crossings, kept as the int of a
     lone one or decoded to sorted triples for several.  The triple points
     map each point on two non-degenerate pairs to the sorted ids of their
-    chains.  Inside a slab such a point is found as a triple that the
-    slab's swaps repeat, each swap adding its pair's key i*n + j; on an
-    abscissa it is a tie, so every pair through it is the kernel's, which
-    adds its key at each of its points.  A candidate counts through the
-    keys whose entries are not degenerate; the key i*n + i of two pieces of
-    one chain has no entry.  Two pieces p < q of one chain that meet make it
-    non-simple (listed by id, in family order) unless q = p + 1, they tie
-    and the kernel finds only their shared vertex; their slab crossings are
-    ignored, since two pieces leaving one vertex enter the order by key,
-    not slope, and may swap in the next slab."""
+    chains.  Inside a slab the lines through a point p reverse their order,
+    so the last of p's pieces in the order passes every piece through p off
+    its line in one insertion run, then ties with those on its line, which
+    overlap it across the slab: only such a run of 2+ pieces is tested.  On
+    an abscissa p is a tie, so every pair through it is the kernel's, which
+    adds its key i*n + j at each of its points.  A candidate counts through
+    the keys whose entries are not degenerate; the key i*n + i of two
+    pieces of one chain has no entry.  Two pieces p < q of one chain that
+    meet make it non-simple (listed by id, in family order) unless
+    q = p + 1, they tie and the kernel finds only their shared vertex; their
+    slab crossings are ignored, since two pieces leaving one vertex enter
+    the order by key, not slope, and may swap in the next slab."""
     segs = [c.scaled_segments(scale) for c in cs]
     edges = [sorted(ss, key=lambda s: s[8]) for ss in segs]  # in chain order, as `_decode` reads them
-    shift = 2 * max((s[1] - s[0] for ss in segs for s in ss), default=0).bit_length()
+    g = gcd(*(x for ss in segs for s in ss for x in s[:2])) or 1  # every grid abscissa is a multiple of g
+    shift = 2 * (max((s[1] - s[0] for ss in segs for s in ss), default=0) // g).bit_length()
 
-    def line_of(s):  # (A, B, dx, s): s's key at abscissa x is (A + B*x) // dx
+    def line_of(s):  # (A, B, dx, s): s's key at abscissa g*x is (A + B*x) // dx
         _, _, _, _, ax, ay, bx, by, _ = s
-        return (ay * (bx - ax) - (by - ay) * ax) << shift, (by - ay) << shift, bx - ax, s
+        ax, dx = ax // g, (bx - ax) // g
+        return (ay * dx - (by - ay) * ax) << shift, (by - ay) << shift, dx, s
 
     pieces: List[list] = []  # numbered chain by chain
     owner: List[int] = []  # each piece's chain
@@ -481,11 +508,11 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     walls: Dict[int, List[int]] = {}  # abscissa -> vertical pieces there, by ylo
     for c, ss in enumerate(pieces):
         if ss[0][0] == ss[0][1]:
-            walls.setdefault(ss[0][0], []).append(c)
+            walls.setdefault(ss[0][0] // g, []).append(c)
             continue
-        starts.setdefault(ss[0][0], []).append(c)
+        starts.setdefault(ss[0][0] // g, []).append(c)
         for s in ss:
-            ends.setdefault(s[1], []).append(c)
+            ends.setdefault(s[1] // g, []).append(c)
     for column in walls.values():
         column.sort(key=lambda c: pieces[c][0][2])
     at = [0] * len(pieces)  # each active piece's segment over the current slab
@@ -497,19 +524,18 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     # (its map entry, `_decode`), or None where they tie at an abscissa
     met: List[Optional[list]] = [[] for _ in pieces]
     n = len(cs)
-    slab: Dict[tuple, int] = {}  # the current slab's crossings -> the pair key of the first swap there
     shared: Dict[tuple, set] = {}  # points that may lie on two pairs -> their pair keys i*n + j
     for x in sorted(ends.keys() | starts.keys() | walls.keys()):
-        slab.clear()
         # keys at x; the inversions against the order left of x are the
         # crossings in the slab, and each piece equal to one below it ties
         top = 0  # the largest key so far
         for k, c in enumerate(order):
-            a, b, d, _ = line[c]
+            a, b, d, s = line[c]
             kc = key[c] = (a + b * x) // d
             if not k or kc > top:
                 top = kc
                 continue
+            run = k  # c's insertion run passes order[k + 1 : run + 1]
             if kc < top:
                 while k and key[order[k - 1]] > kc:
                     e = order[k - 1]
@@ -517,14 +543,16 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
                     k -= 1
                     p, q = (c, e) if c < e else (e, c)
                     met[p] += q, line[p][3][8] * size[q] + line[q][3][8]
-                    t, pair = _crossing(line[c][3], line[e][3]), owner[p] * n + owner[q]
-                    if slab.setdefault(t, pair) != pair:
-                        shared.setdefault(t, {slab[t]}).add(pair)
                 order[k] = c
+            passed, flat = order[k + 1 : run + 1], [c]
             while k and key[order[k - 1]] == kc:
                 e = order[k - 1]
                 met[min(c, e)] += max(c, e), None
+                if passed and line[e][1] * d == b * line[e][2]:  # on c's line, so it overlaps c across the slab
+                    flat.append(e)
                 k -= 1
+            if len(passed) + len(flat) > 2:
+                _slab_points(s, passed, flat, line, owner, n, shared)
         for c in starts.get(x, ()):
             a, b, d, _ = line[c] = line_of(pieces[c][0])
             kc = key[c] = (a + b * x) // d
@@ -763,10 +791,11 @@ def validate_family(family: CurveFamily) -> ValidationReport:
     all_mono = all(c.is_x_monotone() for c in family.curves)
     w = family.window
     bi_ok = w is not None and all(c.start.x == w[0] and c.end.x == w[1] for c in family.curves)
-    # each chain starts on the ground line and then stays strictly right of it
+    # each chain starts on the ground line and then stays strictly right of it (abscissas as int ratios)
     g = family.ground
+    gn, gd = (g or 0).as_integer_ratio()
     grounded_ok = g is not None and all(
-        c.start.x == g and all(v.x > g for v in c.vertices[1:]) for c in family.curves
+        c.start.x == g and all(v.x.numerator * gd > gn * v.x.denominator for v in c.vertices[1:]) for c in family.curves
     )
 
     is_one = not (degenerate or multi or triples or non_simple)

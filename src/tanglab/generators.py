@@ -143,7 +143,8 @@ def gen_grounded_family(k: int, eps: Optional[Fraction] = None) -> CurveFamily:
     rho_max = Fraction(1, 32 * k * k)
     rho = rho_max if eps is None else Fraction(eps)
     if not 0 < rho <= rho_max:
-        raise ValueError(f"eps too large: need 0 < eps <= 1/{32 * k * k}")
+        problem = "too large" if rho > 0 else "not positive"
+        raise ValueError(f"eps {problem}: need 0 < eps <= 1/{32 * k * k}")
     quantum = rho / (64 * (1 + 2 * k * (4 * k + 1)) * 2**47)  # gamma / 2^47, see _grounded_attempt
     for salt in range(16):
         draws = _grounded_draws(4 * k**3, salt)

@@ -63,6 +63,25 @@ def test_x_monotone():
     assert not chain("a", (0, 0), (0, 1)).is_x_monotone()  # vertical edge
 
 
+def test_x_monotone_and_grounded_compare_abscissas_by_value():
+    """Both read the abscissas' int ratios: negative and fractional
+    abscissas, and equal ones written with other denominators."""
+    assert chain("a", (F(-7, 3), 0), (F(-9, 4), 1), (F(1, 6), 0)).is_x_monotone()
+    assert not chain("a", (F(-9, 4), 0), (F(-7, 3), 1)).is_x_monotone()
+    assert not chain("a", (F(1, 3), 0), (F(2, 6), 1), (1, 0)).is_x_monotone()
+    g = F(-7, 3)
+    for ground, verts, want in [
+        (g, [(g, 0), (F(-9, 4), 1), (F(-20, 9), 0)], True),
+        (g, [(g, 0), (F(-9, 4), 1), (F(-14, 6), 2)], False),  # back on the ground line
+        (g, [(g, 0), (F(-12, 5), 1)], False),  # left of it
+        (g, [(F(-9, 4), 0), (F(-2), 1)], False),  # not starting on it
+        (F(0), [(0, 0), (F(-1, 9), 1), (F(1, 9), 2)], False),
+        (F(0), [(0, 0), (F(1, 9), 1), (F(1, 10), 2)], True),
+        (None, [(0, 0), (1, 1)], False),
+    ]:
+        assert validate_family(CurveFamily([PolyChain("a", verts)], ground=ground)).grounded_ok == want
+
+
 def test_is_simple():
     assert chain("a", (0, 0), (1, 1), (2, 0)).is_simple()
     # figure-eight style self-crossing
@@ -429,6 +448,22 @@ def test_triple_points_match_the_scan_over_every_common_point():
     assert {(3, False, False), (5, False, False)} <= found
 
 
+def test_a_slab_triple_point_through_an_overlap_is_found():
+    """a and b overlap along a segment that c crosses inside a slab.  In
+    the slab's insertion sort each of a and b passes c alone, and b then
+    ties with a at the slab's right end on one line, so b's one crossing
+    lies on a too: a triple point, whichever of a and b comes first."""
+    a = chain("a", (F(9, 2), F(-27, 5)), (F(-3, 2), F(18, 5)))
+    b = chain("b", (F(-3, 2), F(18, 5)), (F(3, 2), F(-9, 10)))
+    c = chain("c", (2, 3), (-1, -5))
+    for fam in (CurveFamily([a, b, c]), CurveFamily([c, b, a])):
+        rep = validate_family(fam)
+        assert rep.triple_points == [(Point(F(221, 250), F(3, 125)), ("a", "b", "c"))]
+        assert [{i, j} for i, j, _ in rep.degenerate_pairs] == [{"a", "b"}]
+        assert (rep.triple_points, rep.endpoint_contacts) == helpers.shared_points_oracle(fam)
+        assert list(fam.contacts().items()) == list(helpers.dense_contacts(fam).items())
+
+
 def test_contact_map_holds_at_most_150_bytes_per_entry():
     """Grounded k=3's map, measured by tracemalloc once the chains' int
     segments are cached, holds at most 150 bytes per entry, and building it
@@ -527,6 +562,27 @@ def test_sweep_scans_only_the_touching_pairs(monkeypatch):
     touching = [frozenset(key) for key, (_, data) in contacts.items() if any(kind == "touch" for _, kind in data)]
     assert len(touching) == 324
     assert calls == touching
+
+
+def test_contacts_builds_no_crossing_triple_without_a_triple_point(monkeypatch):
+    """On grounded k=3 no slab has two crossings at one point and no pair
+    meets twice, so `contacts()` computes no crossing's triple: a swap
+    records only the int of its two edges, and an insertion run's crossings
+    are told apart without one.  The map holds 12,728 entries, 12,404 of
+    them lone crossings."""
+    calls = []
+    original = curves._crossing
+
+    def counting(s1, s2):
+        calls.append(1)
+        return original(s1, s2)
+
+    monkeypatch.setattr(curves, "_crossing", counting)
+    fam = gen_grounded_family(3)
+    contacts = fam.contacts()
+    assert len(calls) == 0
+    assert (len(contacts), sum(type(entry) is int for entry in contacts.values())) == (12728, 12404)
+    assert validate_family(fam).triple_points == []
 
 
 def _raw_xmono_family(seed, n=8, size=6):
@@ -689,6 +745,36 @@ def _raw_jordan_family(seed, n=8, size=5):
             verts = [(x + size + 2, y) for x, y in verts]
         chains.append(PolyChain(f"j{i}", verts))
     return CurveFamily(chains)
+
+
+def _x_scaled(fam, factor):
+    """The family with every abscissa multiplied by `factor`."""
+    return CurveFamily([PolyChain(c.cid, [(v.x * factor, v.y) for v in c.vertices]) for c in fam.curves])
+
+
+def test_sweep_keys_abscissas_divided_by_their_common_factor():
+    """The sweep keys abscissas divided by their gcd on the family's grid.
+    With every abscissa times 3^25 (the grid's abscissas then share 3^24 at
+    least, as some had a denominator 3), on unfiltered chains with vertical
+    pieces and overlaps and on chains concurrent at a point, and on a
+    family on the one abscissa x = 0 (gcd 0), the map, the triple points
+    and the non-simple chains are those of the pair kernel and the oracles."""
+    fams = [_x_scaled(_raw_jordan_family(seed), 3**25) for seed in range(60)]
+    fams += [_x_scaled(helpers.concurrent_family(seed)[0], 3**25) for seed in range(60)]
+    for fam in fams:
+        assert all(x % 3**24 == 0 for c in fam.curves for s in c.scaled_segments(fam.scale) for x in s[:2])
+    walls = [(0, 0), (0, 3)], [(0, 5), (0, 1)], [(0, 2), (0, 4)], [(0, 6), (0, 8), (0, 7)], [(0, 9), (0, 10)]
+    fams.append(CurveFamily([PolyChain(f"v{i}", vs) for i, vs in enumerate(walls)]))
+    kinds = set()
+    for fam in fams:
+        rep = validate_family(fam)
+        assert list(fam.contacts().items()) == list(helpers.dense_contacts(fam).items())
+        assert (rep.triple_points, rep.endpoint_contacts) == helpers.shared_points_oracle(fam)
+        assert rep.non_simple == [c.cid for c in fam.curves if not helpers.simple_oracle(c)]
+        hits = (("degenerate", rep.degenerate_pairs), ("triple", rep.triple_points), ("non-simple", rep.non_simple))
+        kinds.update(k for k, hit in hits if hit)
+    assert kinds == {"degenerate", "triple", "non-simple"}
+    assert fams[-1].contacts() and validate_family(fams[-1]).non_simple == ["v3"]
 
 
 def _reversed(fam, every=1):

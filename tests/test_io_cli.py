@@ -558,6 +558,17 @@ def test_cli_generate_domain_error_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps, problem", [("0", "not positive"), ("-1", "not positive"), ("1/31", "too large")])
+def test_cli_generate_grounded_names_what_is_wrong_with_eps(tmp_path, capsys, eps, problem):
+    """eps must lie in (0, 1/(32k^2)]: a non-positive one is named as such,
+    not as too large, and nothing is written."""
+    out = tmp_path / "out.txt"
+    assert run(["generate", "grounded", "--k", "1", "--eps", eps, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip() == f"eps {problem}: need 0 < eps <= 1/32"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
