@@ -28,9 +28,10 @@ Triples sort by `_BY_XY`, their Points' order; Points are built after the
 sort.  Every family's map, triple points and non-simple chains come from
 one sweep over the vertex abscissas (`_sweep_contacts`) of its chains cut
 into x-monotone pieces and vertical segments: slab crossings are order
-inversions, a slab's triple points are found per insertion run, and only
-the pairs that tie on an abscissa or cross twice at one point reach the
-kernel, whose hits `_pair_entry` turns into an entry.
+inversions, triple points are sought in an insertion run that overlaps a
+piece or passes pieces out of their left-end order, and only the pairs
+that tie on an abscissa or cross twice at one point reach the kernel,
+once (`_classified`) for a tie at a vertex, else through `_pair_entry`.
 """
 
 from __future__ import annotations
@@ -113,9 +114,11 @@ class PolyChain:
 
     def scaled_segments(self, scale: int) -> list:
         """Segments as the int tuples of `_int_segments`, sorted by minx.
-        `scale` must be a multiple of self.scale."""
+        ValueError unless `scale` is a positive multiple of self.scale."""
         segs = self._scaled.get(scale)
         if segs is None:
+            if scale <= 0 or scale % self.scale:
+                raise ValueError(f"chain {self.cid}: scale {scale} is not a positive multiple of {self.scale}")
             segs = sorted(_int_segments(self.vertices, scale), key=lambda s: s[0])
             if len(self._scaled) > 4:  # keep the cache tiny
                 self._scaled.clear()
@@ -154,13 +157,14 @@ def _int_segments(vertices: Sequence[Point], scale: int) -> list:
 
 
 def _arcs(chain: PolyChain, p: Point) -> Tuple[str, int, List[Tuple[int, int]]]:
-    """Where p sits on the chain, read off the chain's own int segments:
-    (kind, index, arcs).  kind is start, end, vertex or interior, index that
-    of the vertex or of the edge, and arcs the directions from p toward the
-    previous and the next vertex, where present, as int vectors V*w - P
-    (P = p*scale*w), positive multiples of the true ones.  The first vertex
-    at p wins, else the first edge through p.  ValueError if p is off it."""
-    s = chain.scale
+    """Where p sits on the chain, read off int segments it already has (on
+    any grid in its `scaled_segments` cache, else its own): (kind, index,
+    arcs).  kind is start, end, vertex or interior, index that of the vertex
+    or of the edge, and arcs the directions from p toward the previous and
+    the next vertex, where present, as int vectors V*w - P (P = p*scale*w),
+    positive multiples of the true ones.  The first vertex at p wins, else
+    the first edge through p.  ValueError if p is off it."""
+    s = next(iter(chain._scaled), chain.scale)
     px, py, w = _grid(p, s)
     hits = {}  # edge index -> arcs toward its two ends, for the edges through p
     for minx, maxx, miny, maxy, ax, ay, bx, by, i in chain.scaled_segments(s):
@@ -393,19 +397,26 @@ def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: i
     int a * m + b, where a and b are the chain-order indices of the crossing
     edges of c1 and of c2 and m is c2's edge count; several proper
     crossings as their triples; a pair with any other hit (a touch, a
-    vertex or endpoint contact) is classified by `common_points`."""
+    vertex or endpoint contact) by `_classified`, a second kernel run, which
+    the sweep calls alone where a vertex of either chain tells it so."""
     try:
         hits = _pair_hits((c1.cid, c2.cid), segs1, segs2)
-        if len(hits) == 1 and hits[0][1]:
-            a, b = hits[0][1]
-            return a * len(segs2) + b
-        if hits and all(edges for _, edges in hits):  # crossings need no classification
-            return tuple((t, "cross") for t in sorted((t for t, _ in hits), key=_BY_XY))
-        if hits:
-            return tuple((_grid(p, scale), kind) for p, kind in common_points(c1, c2, scale))
     except DegeneracyError as e:
         return str(e)
-    return None
+    if len(hits) == 1 and hits[0][1]:
+        a, b = hits[0][1]
+        return a * len(segs2) + b
+    if hits and all(edges for _, edges in hits):  # crossings need no classification
+        return tuple((t, "cross") for t in sorted((t for t, _ in hits), key=_BY_XY))
+    return _classified(c1, c2, scale) if hits else None
+
+
+def _classified(c1: PolyChain, c2: PolyChain, scale: int):
+    """`common_points` as a map entry: (triple, kind) pairs, or the message of a degenerate pair."""
+    try:
+        return tuple((_grid(p, scale), kind) for p, kind in common_points(c1, c2, scale))
+    except DegeneracyError as e:
+        return str(e)
 
 
 def _decode(entry, edges1: list, edges2: list) -> tuple:
@@ -455,8 +466,8 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     """The contact map of a family, its triple points and its non-simple
     chains, from one pass over its distinct vertex abscissas, left to
     right.  Each chain is cut into x-monotone pieces and vertical segments
-    (`_pieces`).  Inside the open slab between two
-    consecutive abscissas every active piece is one segment, so the pairs
+    (`_pieces`).  Inside the open slab between two consecutive abscissas
+    every active piece is one segment, so the pairs
     that cross there are the inversions between the vertical order at the
     slab's left end and that at its right end; an insertion sort finds them.
     Each swap records the int a * m + b of the two crossing edges (the
@@ -470,15 +481,18 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     with each vertical segment at x that overlaps it.  A pair of chains
     with a tie (equal keys at some abscissa: a touch, a vertex or endpoint
     contact, a crossing on the abscissa or an overlap) or with a slab
-    crossing found twice (at a self-crossing point) gets `_pair_entry`;
-    every other pair meets only in its slab crossings, kept as the int of a
-    lone one or decoded to sorted triples for several.  The triple points
-    map each point on two non-degenerate pairs to the sorted ids of their
-    chains.  Inside a slab the lines through a point p reverse their order,
-    so the last of p's pieces in the order passes every piece through p off
-    its line in one insertion run, then ties with those on its line, which
-    overlap it across the slab: only such a run of 2+ pieces is tested.  On
-    an abscissa p is a tie, so every pair through it is the kernel's, which
+    crossing found twice (at a self-crossing point) gets `_pair_entry`, or
+    only `_classified` if either piece has a vertex on the tie; every other
+    pair meets only in its slab crossings, kept as the int of a lone one or
+    decoded to sorted triples for several.  The triple points map each
+    point on two non-degenerate pairs to the sorted ids of their chains.
+    Inside a slab the lines through a point p reverse their order, so the
+    last of p's pieces in the order passes every piece through p off its
+    line in one insertion run, then ties with those on its line, which
+    overlap it across the slab.  Two passed pieces through p swap or tie at
+    both ends, so only a run that overlaps a piece, or whose passed pieces'
+    left-end keys do not strictly increase, is tested.  On an abscissa p is
+    a tie, so every pair through it is the kernel's, which
     adds its key i*n + j at each of its points.  A candidate counts through
     the keys whose entries are not degenerate; the key i*n + i of two
     pieces of one chain has no entry.  Two pieces p < q of one chain that
@@ -517,17 +531,20 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
         column.sort(key=lambda c: pieces[c][0][2])
     at = [0] * len(pieces)  # each active piece's segment over the current slab
     line: list = [None] * len(pieces)  # and that segment's `line_of`
-    key = [0] * len(pieces)
+    key, prev = [0] * len(pieces), [0] * len(pieces)  # keys at the abscissa, and at the last one
     order: List[int] = []  # active pieces, bottom to top just right of the last abscissa
     # met[p]: q, t, q, t, ... for the pairs (p, q > p) in sweep order, t the
     # int a * size[q] + b of a slab crossing of p's edge a and q's edge b
-    # (its map entry, `_decode`), or None where they tie at an abscissa
+    # (its map entry, `_decode`), at_vertex where they tie at a vertex of
+    # either, or None where they tie elsewhere on an abscissa
     met: List[Optional[list]] = [[] for _ in pieces]
+    at_vertex = "vertex"  # neither an int nor None
     n = len(cs)
     shared: Dict[tuple, set] = {}  # points that may lie on two pairs -> their pair keys i*n + j
     for x in sorted(ends.keys() | starts.keys() | walls.keys()):
         # keys at x; the inversions against the order left of x are the
         # crossings in the slab, and each piece equal to one below it ties
+        key, prev = prev, key
         top = 0  # the largest key so far
         for k, c in enumerate(order):
             a, b, d, s = line[c]
@@ -547,11 +564,11 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
             passed, flat = order[k + 1 : run + 1], [c]
             while k and key[order[k - 1]] == kc:
                 e = order[k - 1]
-                met[min(c, e)] += max(c, e), None
+                met[min(c, e)] += max(c, e), at_vertex if x * g in (s[1], line[e][3][1]) else None
                 if passed and line[e][1] * d == b * line[e][2]:  # on c's line, so it overlaps c across the slab
                     flat.append(e)
                 k -= 1
-            if len(passed) + len(flat) > 2:
+            if len(flat) > 1 or any(prev[u] >= prev[v] for u, v in zip(passed, passed[1:])):
                 _slab_points(s, passed, flat, line, owner, n, shared)
         for c in starts.get(x, ()):
             a, b, d, _ = line[c] = line_of(pieces[c][0])
@@ -559,7 +576,7 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
             k = m = bisect_left(order, kc, key=key.__getitem__)
             while m < len(order) and key[order[m]] == kc:
                 e = order[m]
-                met[min(c, e)] += max(c, e), None
+                met[min(c, e)] += max(c, e), at_vertex
                 m += 1
             order.insert(k, c)
         # a vertical piece ties with the pieces whose keys at x lie in its
@@ -590,7 +607,7 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     non_simple = []
     for i, ps in groupby(range(len(pieces)), owner.__getitem__):  # each chain's pieces
         hits: Dict[int, list] = {}
-        turns: Dict[int, list] = {}  # p -> what its row holds for the pair (p, p + 1) of this chain
+        turns: Dict[int, bool] = {}  # p -> does the pair (p, p + 1) of this chain tie (its row holds a non-int)
         simple = True
         for p in ps:
             row, met[p] = met[p], None  # so that the rows and the map are never held in full at once
@@ -599,24 +616,27 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
                 if j != i:
                     hits.setdefault(j, []).append(t)
                 elif q == p + 1:
-                    turns.setdefault(p, []).append(t)
+                    turns[p] = turns.get(p, False) or type(t) is not int
                 else:
                     simple = False
-        for p, ts in turns.items():
+        for p, tie in turns.items():
             try:
-                simple = simple and None in ts and len(_pair_points_int(pieces[p], pieces[p + 1])) == 1
+                simple = simple and tie and len(_pair_points_int(pieces[p], pieces[p + 1])) == 1
             except DegeneracyError:
                 simple = False
         if not simple:
             non_simple.append(cs[i].cid)
         for j in sorted(hits):
             ts = hits[j]
-            if len(ts) == 1 and ts[0] is not None:  # one slab crossing
+            if len(ts) == 1 and type(ts[0]) is int:  # one slab crossing
                 result[i * n + j] = ts[0]
                 continue
-            pts = None if None in ts else [_decode(t, edges[i], edges[j])[0][0] for t in ts]
+            pts = None if None in ts or at_vertex in ts else [_decode(t, edges[i], edges[j])[0][0] for t in ts]
             if pts is None or len(set(pts)) < len(pts):
-                entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
+                if at_vertex in ts:  # a hit at a vertex is no proper crossing: `_pair_entry` would classify it
+                    entry = _classified(cs[i], cs[j], scale)
+                else:
+                    entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
                 for t, _ in _decode(entry, edges[i], edges[j]):  # every point on an abscissa is a kernel pair's
                     shared.setdefault(t, set()).add(i * n + j)
             else:  # distinct slab crossings

@@ -1011,33 +1011,24 @@ def shared_points_oracle(family):
 
 def count_pair_scans(monkeypatch, *families):
     """Record each call of the pair kernel on two chains of one of the
-    families, as the frozenset of their ids.  `contacts()` scans only the
-    pairs that tie on a vertex abscissa (meet there, or through a vertical
-    segment) or cross twice at one point; the sweep finds every other
-    crossing without the kernel.  A call made inside `common_points` is not
-    recorded: `contacts()` runs it only on a pair the kernel has just
-    scanned, to classify that pair's points."""
-    from tanglab import curves, xmono
+    families, as the frozenset of their ids, calls made inside
+    `common_points` included.  `contacts()` scans only the pairs that tie on
+    a vertex abscissa (meet there, or through a vertical segment) or cross
+    twice at one point, and a pair that ties at a vertex of either chain
+    only once, in `common_points`; the sweep finds every other crossing
+    without the kernel."""
+    from tanglab import curves
 
     owner = {id(c.scaled_segments(f.scale)): c.cid for f in families for c in f.curves}
-    calls, inside = [], []
-    kernel, classify = curves._pair_points_int, curves.common_points
+    calls = []
+    kernel = curves._pair_points_int
 
     def scan(segs1, segs2):
-        if not inside and id(segs1) in owner and id(segs2) in owner:
+        if id(segs1) in owner and id(segs2) in owner:
             calls.append(frozenset((owner[id(segs1)], owner[id(segs2)])))
         return kernel(segs1, segs2)
 
-    def classifying(*args):
-        inside.append(args)
-        try:
-            return classify(*args)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(curves, "_pair_points_int", scan)  # every kernel call goes through this name
-    for module in (curves, xmono):
-        monkeypatch.setattr(module, "common_points", classifying)
     return calls
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 import random
 import tracemalloc
 
@@ -55,6 +55,22 @@ def test_polychain_compares_mixed_vertices_by_value():
     c = PolyChain("a", [p, (3, "5/2")])
     assert c.vertices[0] is p and c.vertices == (p, Point(F(3), F(5, 2)))
     assert all(type(v) is Point and type(v.x) is F and type(v.y) is F for v in c.vertices)
+
+
+def test_scaled_segments_refuse_a_scale_off_the_chains_grid():
+    """A scale that is not a positive multiple of the chain's own would
+    truncate its vertices: (1/3, 0)-(5/3, 1) on the grid of 2 is vertical.
+    scaled_segments and common_points raise ValueError for it, where
+    common_points would otherwise report a false collinear overlap."""
+    a = chain("a", (F(1, 3), 0), (F(5, 3), 1))
+    b = chain("b", (F(1, 3), 1), (F(5, 3), 0))
+    for scale in (2, 0, -3):
+        with pytest.raises(ValueError, match=f"chain a: scale {scale} is not a positive multiple of 3"):
+            a.scaled_segments(scale)
+        with pytest.raises(ValueError, match="not a positive multiple of 3"):
+            common_points(a, b, scale=scale)
+    assert a.scaled_segments(6) == [(2, 10, 0, 6, 2, 0, 10, 6, 0)]
+    assert common_points(a, b, scale=6) == common_points(a, b) == [(Point(F(1), F(1, 2)), "cross")]
 
 
 def test_x_monotone():
@@ -464,6 +480,34 @@ def test_a_slab_triple_point_through_an_overlap_is_found():
         assert list(fam.contacts().items()) == list(helpers.dense_contacts(fam).items())
 
 
+def test_a_slab_triple_point_screened_by_left_end_order_is_found():
+    """An insertion run is tested for a triple point only when it overlaps a
+    piece or the pieces it passes are not in strictly increasing order at
+    the slab's left end.  First: c passes a and b, which overlap (their
+    left-end keys tie), and crosses both at (2, 2).  Second: g passes e, f
+    and d; d and e cross g at (2, 4), and f crosses g elsewhere, lies
+    between them at the right end and below both at the left end, so only
+    the run's first two pieces are out of order there.  Every order of
+    each family finds the triple point that a scan over every common point
+    finds."""
+    a = chain("a", (0, 0), (4, 4))
+    b = chain("b", (1, 1), (5, 5))
+    c = chain("c", (1, 3), (4, 0))
+    overlap = [a, b, c]
+    d = chain("d", (0, 0), (4, 8))
+    e = chain("e", (0, 3), (4, 5))
+    f = chain("f", (0, -1), (4, 6))
+    g = chain("g", (0, 8), (4, 0))
+    spread = [d, e, f, g]
+    for chains, expected in ((overlap, (F(2), ("a", "b", "c"))), (spread, (F(2), ("d", "e", "g")))):
+        for order in permutations(chains):
+            fam = CurveFamily(order)
+            fam.contacts()
+            found = [(curves._point(t, fam.scale), fam._triples[t]) for t in sorted(fam._triples, key=curves._BY_XY)]
+            assert found == helpers.shared_points_oracle(fam)[0]
+            assert [(p.x, ids) for p, ids in found] == [expected]
+
+
 def test_contact_map_holds_at_most_150_bytes_per_entry():
     """Grounded k=3's map, measured by tracemalloc once the chains' int
     segments are cached, holds at most 150 bytes per entry, and building it
@@ -583,6 +627,23 @@ def test_contacts_builds_no_crossing_triple_without_a_triple_point(monkeypatch):
     assert len(calls) == 0
     assert (len(contacts), sum(type(entry) is int for entry in contacts.values())) == (12728, 12404)
     assert validate_family(fam).triple_points == []
+
+
+def test_contacts_screens_insertion_runs_by_left_end_order(monkeypatch):
+    """Grounded k=3 has no triple point, and most insertion runs pass their
+    pieces in strictly increasing left-end order, so no crossing parameter
+    is computed for them: at most 1,806 `_along` calls (11,643 when every
+    run of two or more swaps is tested)."""
+    calls = []
+    original = curves._along
+
+    def counting(s1, s2):
+        calls.append(1)
+        return original(s1, s2)
+
+    monkeypatch.setattr(curves, "_along", counting)
+    gen_grounded_family(3).contacts()
+    assert len(calls) <= 1806
 
 
 def _raw_xmono_family(seed, n=8, size=6):
