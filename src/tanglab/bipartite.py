@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .curves import CurveFamily, TangencyType, chain_position, common_points, tangency_type
+from .curves import CurveFamily, DegeneracyError, TangencyType, chain_position, tangency_graph
 
 
 class BipartiteGraph:
@@ -515,17 +515,17 @@ def _lcs3(l1: Sequence, l2: Sequence):
 def tangency_order_lists(fam_a: CurveFamily, fam_b: CurveFamily, t) -> Dict[str, List[str]]:
     """For each curve b of fam_b: ids of fam_a curves touching b with tangency
     type t (letters: side of the a-curve, side of b), ordered by the position
-    of the touch point along b.  A type outside LL/LR/RL/RR is a ValueError."""
+    of the touch point along b, from the union family's tangency graph.  A
+    degenerate A x B pair or an ambiguous side is a DegeneracyError, a type
+    outside LL/LR/RL/RR or an id in both families a ValueError."""
     t = TangencyType(t)
-    out: Dict[str, List[str]] = {}
-    for cb in fam_b.curves:
-        hits = []
-        for ca in fam_a.curves:
-            for p, kind in common_points(ca, cb):
-                if kind != "touch":
-                    continue
-                if tangency_type(ca, cb, p) == t:
-                    hits.append((chain_position(cb, p), ca.cid))
-        hits.sort()
-        out[cb.cid] = [cid for _, cid in hits]
-    return out
+    union = CurveFamily(fam_a.curves + fam_b.curves)
+    n = len(union)
+    for key, entry in union.contacts().items():
+        if type(entry) is str and key // n < len(fam_a) <= key % n:
+            raise DegeneracyError(entry)
+    hits: Dict[str, list] = {cb.cid: [] for cb in fam_b.curves}
+    for e in tangency_graph(union, strict=False).edges:  # c1 precedes c2, so c1 is in A when c2 is in B
+        if e.c2 in hits and e.c1 not in hits and e.type == t:
+            hits[e.c2].append((chain_position(union.curve(e.c2), e.point), e.c1))
+    return {cid: [a for _, a in sorted(h)] for cid, h in hits.items()}

@@ -15,23 +15,16 @@ line lies above the apex, on the left of c1; the peak lies below the line,
 on the right of c2; so the type is LR, and RL with c1 and c2 swapped.
 
 One integer kernel, `_pair_points_int`, decides every segment predicate
-on a common integer grid, for pairs of chains and for pairs of pieces of
-one chain alike.  It reports int homogeneous points, which `common_points`
-turns into exact Fractions.  Classification runs on ints too: cross/touch,
-the tangency type and the position along a chain all read `_arcs`, the int
-arcs leaving a point.  A family caches its contact map, keyed by ints and
-holding int grid triples, except that a lone proper crossing is the int
-naming its two edges, and builds no Fraction; `_decode` turns any entry
-into its (triple, kind) pairs, and xmono's sweep reads the map so.  Only a
-pair with a hit that is not a proper crossing goes through `common_points`.
-Triples sort by `_BY_XY`, their Points' order; Points are built after the
-sort.  Every family's map, triple points and non-simple chains come from
-one sweep over the vertex abscissas (`_sweep_contacts`) of its chains cut
-into x-monotone pieces and vertical segments: slab crossings are order
-inversions, triple points are sought in an insertion run that overlaps a
-piece or passes pieces out of their left-end order, and only the pairs
-that tie on an abscissa or cross twice at one point reach the kernel,
-once (`_classified`) for a tie at a vertex, else through `_pair_entry`.
+on a common integer grid, for pairs of chains and pairs of pieces of one
+chain alike; `common_points` turns its int homogeneous points into
+Fractions.  Classification runs on ints too: cross/touch, the tangency
+type and the position along a chain read `_arcs`, the int arcs leaving a
+point.  A family caches its contact map (`CurveFamily.contacts`), built
+with no Fraction by one sweep over the vertex abscissas
+(`_sweep_contacts`): the sweep finds every proper crossing itself and
+runs the kernel once (`_classified`) on each pair with another kind of
+hit.  `_decode` turns any entry into its (triple, kind) pairs.  Triples
+sort by `_BY_XY`, their Points' order; Points are built after the sort.
 """
 
 from __future__ import annotations
@@ -391,26 +384,6 @@ def common_points(c1: PolyChain, c2: PolyChain, scale: Optional[int] = None) -> 
     return [(p, "cross" if edges else classify_contact(c1, c2, p)) for p, edges in pts]
 
 
-def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: int):
-    """One pair's contact-map entry from the pair kernel, None if disjoint
-    (see `CurveFamily.contacts`).  A lone proper crossing is stored as the
-    int a * m + b, where a and b are the chain-order indices of the crossing
-    edges of c1 and of c2 and m is c2's edge count; several proper
-    crossings as their triples; a pair with any other hit (a touch, a
-    vertex or endpoint contact) by `_classified`, a second kernel run, which
-    the sweep calls alone where a vertex of either chain tells it so."""
-    try:
-        hits = _pair_hits((c1.cid, c2.cid), segs1, segs2)
-    except DegeneracyError as e:
-        return str(e)
-    if len(hits) == 1 and hits[0][1]:
-        a, b = hits[0][1]
-        return a * len(segs2) + b
-    if hits and all(edges for _, edges in hits):  # crossings need no classification
-        return tuple((t, "cross") for t in sorted((t for t, _ in hits), key=_BY_XY))
-    return _classified(c1, c2, scale) if hits else None
-
-
 def _classified(c1: PolyChain, c2: PolyChain, scale: int):
     """`common_points` as a map entry: (triple, kind) pairs, or the message of a degenerate pair."""
     try:
@@ -420,15 +393,14 @@ def _classified(c1: PolyChain, c2: PolyChain, scale: int):
 
 
 def _decode(entry, edges1: list, edges2: list) -> tuple:
-    """The (triple, kind) pairs of a contact-map entry, given the two
-    chains' `_int_segments` in chain order, in family order (an x-monotone
-    chain's `scaled_segments` are in chain order): none for None or a
-    degenerate pair's message, and for a lone crossing a * m + b the point
-    where edges1[a] crosses edges2[b] (m = len(edges2))."""
+    """The (triple, kind) pairs of a contact-map entry, given the two chains'
+    `_int_segments` in chain order (an x-monotone chain's `scaled_segments`
+    are), in family order: none for a degenerate pair's message, and for a
+    lone crossing a * m + b the point where edges1[a] crosses edges2[b]."""
     if type(entry) is int:
         a, b = divmod(entry, len(edges2))
         return ((_crossing(edges1[a], edges2[b]), "cross"),)
-    return () if entry is None or type(entry) is str else entry
+    return () if type(entry) is str else entry
 
 
 def _pieces(edges: list) -> List[list]:
@@ -464,42 +436,39 @@ def _slab_points(s: tuple, passed: list, flat: list, line: list, owner: list, n:
 
 def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, object], Dict[tuple, tuple], List[str]]:
     """The contact map of a family, its triple points and its non-simple
-    chains, from one pass over its distinct vertex abscissas, left to
-    right.  Each chain is cut into x-monotone pieces and vertical segments
-    (`_pieces`).  Inside the open slab between two consecutive abscissas
-    every active piece is one segment, so the pairs
-    that cross there are the inversions between the vertical order at the
-    slab's left end and that at its right end; an insertion sort finds them.
-    Each swap records the int a * m + b of the two crossing edges (the
-    map's entry for a lone crossing, see `_pair_entry`).  Abscissas are
-    divided by g, their gcd on the grid (1 if all are 0), and the orders
-    compare int keys floor(y * 2^S), S twice the bit length of the widest
-    dx / g: two ordinates at an abscissa have denominators below 2^(S/2),
-    so they differ by more than 2^-S unless equal, and the keys are exact
-    in order and in equality.  A vertical segment (x, ylo, yhi)
-    ties with each piece whose key at x lies in [ylo * 2^S, yhi * 2^S] and
-    with each vertical segment at x that overlaps it.  A pair of chains
-    with a tie (equal keys at some abscissa: a touch, a vertex or endpoint
-    contact, a crossing on the abscissa or an overlap) or with a slab
-    crossing found twice (at a self-crossing point) gets `_pair_entry`, or
-    only `_classified` if either piece has a vertex on the tie; every other
-    pair meets only in its slab crossings, kept as the int of a lone one or
-    decoded to sorted triples for several.  The triple points map each
-    point on two non-degenerate pairs to the sorted ids of their chains.
-    Inside a slab the lines through a point p reverse their order, so the
-    last of p's pieces in the order passes every piece through p off its
-    line in one insertion run, then ties with those on its line, which
-    overlap it across the slab.  Two passed pieces through p swap or tie at
-    both ends, so only a run that overlaps a piece, or whose passed pieces'
-    left-end keys do not strictly increase, is tested.  On an abscissa p is
-    a tie, so every pair through it is the kernel's, which
-    adds its key i*n + j at each of its points.  A candidate counts through
-    the keys whose entries are not degenerate; the key i*n + i of two
-    pieces of one chain has no entry.  Two pieces p < q of one chain that
-    meet make it non-simple (listed by id, in family order) unless
-    q = p + 1, they tie and the kernel finds only their shared vertex; their
-    slab crossings are ignored, since two pieces leaving one vertex enter
-    the order by key, not slope, and may swap in the next slab."""
+    chains, from one pass over its distinct vertex abscissas, left to right,
+    with each chain cut into x-monotone pieces and vertical segments
+    (`_pieces`).  Inside the open slab between two abscissas every active
+    piece is one segment, so the pairs that cross there are the inversions
+    between its two ends' orders, recorded as ints a * m + b by an insertion
+    sort.  Abscissas are divided by g, their gcd on the grid (1 if all are
+    0), and the orders compare int keys floor(y * 2^S), S twice the bit
+    length of the widest dx / g: ordinates at an abscissa have denominators
+    below 2^(S/2), so the keys are exact in order and in equality.  A
+    vertical segment (x, ylo, yhi) ties with each piece whose key at x lies
+    in [ylo * 2^S, yhi * 2^S] and with each vertical segment at x that
+    overlaps it.  A tie inside an edge of each piece is a proper crossing: a
+    vertical segment records it at once, and two sloped pieces, which keep
+    their order at a tie, swap in the next slab.  Every other tie (at a
+    vertex of either piece, an overlap, two vertical segments) marks its
+    pair `classify`.  A pair of chains with that mark, or with one crossing
+    found twice (at a self-crossing point), gets `_classified`, one kernel
+    run; every other pair keeps its crossings, the int of a lone one or
+    sorted triples.  The triple points map each point on two non-degenerate
+    pairs (keys i*n + j; the key i*n + i of two pieces of one chain has no
+    entry) to the sorted ids of their chains.  Inside a slab the lines
+    through a point p reverse their order, so the last of p's pieces passes
+    every piece through p off its line in one insertion run, then ties with
+    those on its line; two passed pieces through p swap or tie at both ends,
+    so only a run that overlaps a piece, or whose passed pieces' left-end
+    keys do not strictly increase, is tested.  On an abscissa each pair the
+    kernel decides adds all its points, and a crossing tie adds its own when
+    a second tie shares it, which puts it on three pieces or more.  Two
+    pieces p < q of one chain that meet make it non-simple (listed by id, in
+    family order) unless q = p + 1, they tie and the kernel finds only their
+    shared vertex; their slab crossings are ignored, since two pieces
+    leaving one vertex enter the order by key, not slope, and may swap in
+    the next slab."""
     segs = [c.scaled_segments(scale) for c in cs]
     edges = [sorted(ss, key=lambda s: s[8]) for ss in segs]  # in chain order, as `_decode` reads them
     g = gcd(*(x for ss in segs for s in ss for x in s[:2])) or 1  # every grid abscissa is a multiple of g
@@ -534,17 +503,17 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     key, prev = [0] * len(pieces), [0] * len(pieces)  # keys at the abscissa, and at the last one
     order: List[int] = []  # active pieces, bottom to top just right of the last abscissa
     # met[p]: q, t, q, t, ... for the pairs (p, q > p) in sweep order, t the
-    # int a * size[q] + b of a slab crossing of p's edge a and q's edge b
-    # (its map entry, `_decode`), at_vertex where they tie at a vertex of
-    # either, or None where they tie elsewhere on an abscissa
+    # int a * size[q] + b of a crossing of p's edge a and q's edge b (its
+    # map entry, `_decode`), or classify where the kernel must decide a tie
     met: List[Optional[list]] = [[] for _ in pieces]
-    at_vertex = "vertex"  # neither an int nor None
+    classify = "classify"  # not an int
     n = len(cs)
     shared: Dict[tuple, set] = {}  # points that may lie on two pairs -> their pair keys i*n + j
     for x in sorted(ends.keys() | starts.keys() | walls.keys()):
         # keys at x; the inversions against the order left of x are the
         # crossings in the slab, and each piece equal to one below it ties
         key, prev = prev, key
+        ties: Dict[int, list] = {}  # key -> the ties at x there: a crossing's (segment, segment, pair key), else None
         top = 0  # the largest key so far
         for k, c in enumerate(order):
             a, b, d, s = line[c]
@@ -564,8 +533,14 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
             passed, flat = order[k + 1 : run + 1], [c]
             while k and key[order[k - 1]] == kc:
                 e = order[k - 1]
-                met[min(c, e)] += max(c, e), at_vertex if x * g in (s[1], line[e][3][1]) else None
-                if passed and line[e][1] * d == b * line[e][2]:  # on c's line, so it overlaps c across the slab
+                on_line = line[e][1] * d == b * line[e][2]  # so e overlaps c across the slab
+                if on_line or x * g in (s[1], line[e][3][1]):
+                    met[min(c, e)] += max(c, e), classify
+                    tie = None
+                else:  # a proper crossing, which the next slab swaps
+                    tie = s, line[e][3], owner[min(c, e)] * n + owner[max(c, e)]
+                ties.setdefault(kc, []).append(tie)
+                if passed and on_line:
                     flat.append(e)
                 k -= 1
             if len(flat) > 1 or any(prev[u] >= prev[v] for u, v in zip(passed, passed[1:])):
@@ -576,23 +551,36 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
             k = m = bisect_left(order, kc, key=key.__getitem__)
             while m < len(order) and key[order[m]] == kc:
                 e = order[m]
-                met[min(c, e)] += max(c, e), at_vertex
+                met[min(c, e)] += max(c, e), classify
+                ties.setdefault(kc, []).append(None)
                 m += 1
             order.insert(k, c)
         # a vertical piece ties with the pieces whose keys at x lie in its
         # y-range, and with the vertical pieces above it that it overlaps
         column = walls.get(x, ())
         for k, c in enumerate(column):
-            _, _, lo, hi = pieces[c][0][:4]
-            m = bisect_left(order, lo << shift, key=key.__getitem__)
-            while m < len(order) and key[order[m]] <= hi << shift:
+            w = pieces[c][0]
+            lo, hi = w[2] << shift, w[3] << shift
+            m = bisect_left(order, lo, key=key.__getitem__)
+            while m < len(order) and key[order[m]] <= hi:
                 e = order[m]
-                met[min(c, e)] += max(c, e), None
+                u = line[e][3]
+                if lo < key[e] < hi and u[0] < x * g < u[1]:  # a proper crossing
+                    (p, a), (q, b) = sorted(((c, w[8]), (e, u[8])))
+                    met[p] += q, a * size[q] + b
+                    tie = w, u, owner[p] * n + owner[q]
+                else:
+                    met[min(c, e)] += max(c, e), classify
+                    tie = None
+                ties.setdefault(key[e], []).append(tie)
                 m += 1
             for e in column[k + 1 :]:
-                if pieces[e][0][2] > hi:
+                if pieces[e][0][2] > w[3]:
                     break
-                met[min(c, e)] += max(c, e), None
+                met[min(c, e)] += max(c, e), classify
+        # a point with two ties is on three pieces or more: each crossing there adds itself
+        for s1, s2, pair in (t for group in ties.values() if len(group) > 1 for t in group if t):
+            shared.setdefault(_crossing(s1, s2), set()).add(pair)
         # the segments over the next slab
         stops = set()
         for c in ends.get(x, ()):
@@ -607,7 +595,7 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
     non_simple = []
     for i, ps in groupby(range(len(pieces)), owner.__getitem__):  # each chain's pieces
         hits: Dict[int, list] = {}
-        turns: Dict[int, bool] = {}  # p -> does the pair (p, p + 1) of this chain tie (its row holds a non-int)
+        turns: Dict[int, bool] = {}  # p -> does the pair (p, p + 1) of this chain tie (its row holds classify)
         simple = True
         for p in ps:
             row, met[p] = met[p], None  # so that the rows and the map are never held in full at once
@@ -616,7 +604,7 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
                 if j != i:
                     hits.setdefault(j, []).append(t)
                 elif q == p + 1:
-                    turns[p] = turns.get(p, False) or type(t) is not int
+                    turns[p] = turns.get(p, False) or t is classify
                 else:
                     simple = False
         for p, tie in turns.items():
@@ -628,21 +616,16 @@ def _sweep_contacts(cs: Sequence[PolyChain], scale: int) -> Tuple[Dict[int, obje
             non_simple.append(cs[i].cid)
         for j in sorted(hits):
             ts = hits[j]
-            if len(ts) == 1 and type(ts[0]) is int:  # one slab crossing
+            if len(ts) == 1 and type(ts[0]) is int:  # one crossing
                 result[i * n + j] = ts[0]
                 continue
-            pts = None if None in ts or at_vertex in ts else [_decode(t, edges[i], edges[j])[0][0] for t in ts]
+            pts = None if classify in ts else [_decode(t, edges[i], edges[j])[0][0] for t in ts]
             if pts is None or len(set(pts)) < len(pts):
-                if at_vertex in ts:  # a hit at a vertex is no proper crossing: `_pair_entry` would classify it
-                    entry = _classified(cs[i], cs[j], scale)
-                else:
-                    entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
-                for t, _ in _decode(entry, edges[i], edges[j]):  # every point on an abscissa is a kernel pair's
+                entry = result[i * n + j] = _classified(cs[i], cs[j], scale)
+                for t, _ in _decode(entry, edges[i], edges[j]):  # each point of a pair the kernel decides
                     shared.setdefault(t, set()).add(i * n + j)
-            else:  # distinct slab crossings
-                entry = tuple((t, "cross") for t in sorted(pts, key=_BY_XY))
-            if entry is not None:
-                result[i * n + j] = entry
+            else:  # distinct crossings
+                result[i * n + j] = tuple((t, "cross") for t in sorted(pts, key=_BY_XY))
     triples = {}
     for t, keys in shared.items():  # t counts on its non-degenerate pairs (a chain's own key i*n + i has no entry)
         pairs = [divmod(k, n) for k in keys if type(result.get(k, "")) is not str]
@@ -705,18 +688,15 @@ class CurveFamily:
     def contacts(self) -> Dict[int, object]:
         """Pairwise contact map, in key order, keyed by i*n + j for the
         positions i < j of two chains in `self.curves` and n = len(self)
-        (`pair_ids`).  A common point is its reduced int triple t on the
-        grid of `self.scale` (`_grid`).  An entry is the kernel's message (a
-        str) for a degenerate pair, the int a * m + b of a lone proper
-        crossing of edge a of chain i and edge b of chain j (chain-order
-        edge indices, m the edge count of chain j), and else the (t, 'cross'
-        or 'touch') pairs in `_BY_XY` order, a tuple; a disjoint pair has
-        none.  `_decode` gives any entry's (t, kind) pairs.  One sweep
-        (`_sweep_contacts`) finds the
-        slab crossings, the triple points and the non-simple chains, which
-        are cached next to the map, and the pair kernel runs only on the
-        pairs that tie on an abscissa or cross twice at one point, so the
-        map is `_pair_entry`'s on every pair, key order included."""
+        (`pair_ids`); a disjoint pair has no entry.  An entry is the
+        kernel's message (a str) for a degenerate pair, the int a * m + b of
+        a lone proper crossing of edge a of chain i and edge b of chain j
+        (chain-order edge indices, m the edge count of chain j), and else a
+        tuple of (t, 'cross' or 'touch') pairs in `_BY_XY` order, t a
+        point's reduced int triple on the grid of `self.scale` (`_grid`);
+        `_decode` gives any entry's pairs.  The sweep (`_sweep_contacts`)
+        caches the triple points and the non-simple chains next to it, and
+        the map is the pair kernel's on every pair, key order included."""
         if self._contacts is None:
             self._contacts, self._triples, self._non_simple = _sweep_contacts(self.curves, self.scale)
         return self._contacts

@@ -28,6 +28,7 @@ from tanglab import (
     validate_family,
     value_at,
 )
+from tanglab.curves import _BY_XY, _classified, _pair_hits
 from tanglab.geom import OverlapError
 
 F = Fraction
@@ -313,6 +314,28 @@ def two_grounded_instance(seed):
     rep = validate_family(combined)
     assert rep.is_1_intersecting, rep.summary()
     return fam_a, fam_b, combined
+
+
+def order_lists_oracle(fam_a, fam_b, t):
+    """`tangency_order_lists` as a loop over every pair of A x B: each
+    pair's common points from `common_points`, each touch typed by
+    `tangency_type`, and the touches along b sorted by `chain_position`,
+    the library's int ones, not this module's Fraction oracles."""
+    from tanglab.curves import chain_position, common_points, tangency_type
+
+    t = TangencyType(t)
+    out: Dict[str, List[str]] = {}
+    for cb in fam_b.curves:
+        hits = []
+        for ca in fam_a.curves:
+            for p, kind in common_points(ca, cb):
+                if kind != "touch":
+                    continue
+                if tangency_type(ca, cb, p) == t:
+                    hits.append((chain_position(cb, p), ca.cid))
+        hits.sort()
+        out[cb.cid] = [cid for _, cid in hits]
+    return out
 
 
 def random_bipartite_graph(seed, max_side=40, p=None):
@@ -953,17 +976,35 @@ def cell_stats_oracle(partition, family):
     return out
 
 
+def _pair_entry(c1: PolyChain, c2: PolyChain, segs1: list, segs2: list, scale: int):
+    """One pair's contact-map entry from the pair kernel, None if disjoint
+    (see `CurveFamily.contacts`).  A lone proper crossing is stored as the
+    int a * m + b, where a and b are the chain-order indices of the crossing
+    edges of c1 and of c2 and m is c2's edge count; several proper
+    crossings as their triples; a pair with any other hit (a touch, a
+    vertex or endpoint contact) by `_classified`, a second kernel run.  The
+    reference for `dense_contacts`."""
+    try:
+        hits = _pair_hits((c1.cid, c2.cid), segs1, segs2)
+    except DegeneracyError as e:
+        return str(e)
+    if len(hits) == 1 and hits[0][1]:
+        a, b = hits[0][1]
+        return a * len(segs2) + b
+    if hits and all(edges for _, edges in hits):  # crossings need no classification
+        return tuple((t, "cross") for t in sorted((t for t, _ in hits), key=_BY_XY))
+    return _classified(c1, c2, scale) if hits else None
+
+
 def dense_contacts(family):
     """The contact map as `_pair_entry` gives it on every pair of the
     family, in family order, with nothing filtered out: the reference that
     the sweep's map must equal, key order included."""
-    from tanglab import curves
-
     cs, scale = family.curves, family.scale
     segs = [c.scaled_segments(scale) for c in cs]
     out = {}
     for i, j in combinations(range(len(cs)), 2):
-        entry = curves._pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
+        entry = _pair_entry(cs[i], cs[j], segs[i], segs[j], scale)
         if entry is not None:
             out[i * len(cs) + j] = entry
     return out
@@ -1012,11 +1053,10 @@ def shared_points_oracle(family):
 def count_pair_scans(monkeypatch, *families):
     """Record each call of the pair kernel on two chains of one of the
     families, as the frozenset of their ids, calls made inside
-    `common_points` included.  `contacts()` scans only the pairs that tie on
-    a vertex abscissa (meet there, or through a vertical segment) or cross
-    twice at one point, and a pair that ties at a vertex of either chain
-    only once, in `common_points`; the sweep finds every other crossing
-    without the kernel."""
+    `common_points` included.  `contacts()` scans only the pairs that are
+    degenerate, meet at a vertex of either chain or cross twice at one
+    point, each once, in `common_points`; the sweep finds every other
+    crossing without the kernel."""
     from tanglab import curves
 
     owner = {id(c.scaled_segments(f.scale)): c.cid for f in families for c in f.curves}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tanglab import (
     BipartiteGraph,
     CurveFamily,
+    DegeneracyError,
     PolyChain,
     SparsenessBudget,
     TangencyType,
@@ -25,6 +26,7 @@ from tanglab import (
     sub_bineighborhood_violation,
     tangency_order_lists,
 )
+from tanglab.generators import gen_grounded_family
 
 import helpers
 
@@ -460,3 +462,36 @@ def test_tangency_order_lists_rejects_unknown_type():
     for t in ("XX", "rl", ""):
         with pytest.raises(ValueError):
             tangency_order_lists(fam_a, fam_b, t)
+
+
+def test_tangency_order_lists_equal_a_loop_over_every_pair():
+    """The lists read off the union family's tangency graph equal a
+    `common_points` loop over every pair of A x B, for every type, on the
+    two-grounded instances and on grounded k=2 split into its line-curves
+    and its point-curves, either way round."""
+    cases = [helpers.two_grounded_instance(seed)[:2] for seed in range(12)]
+    grounded = gen_grounded_family(2)
+    lines, points = ([i for i in grounded.ids if i[0] == side] for side in "LP")
+    cases += [(grounded.subfamily(lines), grounded.subfamily(points)), (grounded.subfamily(points), grounded.subfamily(lines))]
+    found = 0
+    for fam_a, fam_b in cases:
+        for t in TangencyType:
+            lists = tangency_order_lists(fam_a, fam_b, t)
+            assert lists == helpers.order_lists_oracle(fam_a, fam_b, t)
+            found += sum(map(len, lists.values()))
+    assert found > 100
+
+
+def test_tangency_order_lists_refuse_a_degenerate_pair_of_a_x_b_and_a_shared_id():
+    """An overlap between A and B is refused with the pair's message; one
+    inside A is not an A x B pair and is skipped; an id in both families
+    is a ValueError."""
+    base = CurveFamily([PolyChain("b0", [(0, 0), (20, 0)])])
+    dip = PolyChain("r", [(2, 2), (4, 0), (6, 2)])
+    flat = CurveFamily([dip, PolyChain("s", [(8, 0), (10, 0), (12, 2)])])
+    with pytest.raises(DegeneracyError, match="s/b0: collinear overlap"):
+        tangency_order_lists(flat, base, "RL")
+    twins = CurveFamily([dip, PolyChain("s", [(1, 3), (3, 1), (4, 0), (5, 1)])])
+    assert tangency_order_lists(twins, base, "RL") == {"b0": ["r", "s"]}
+    with pytest.raises(ValueError, match="duplicate curve ids"):
+        tangency_order_lists(base, base, "RL")

@@ -564,9 +564,10 @@ def test_a_lone_crossing_decodes_to_the_kernels_hit_on_both_named_edges():
 
 
 def test_a_lone_crossing_from_the_kernel_is_the_int_the_sweep_stores(monkeypatch):
-    """A lone crossing on another chain's vertex abscissa ties there, so the
-    pair kernel builds its entry; the two chains alone meet inside a slab,
-    where the sweep finds the crossing and stores the same int."""
+    """A lone crossing on another chain's vertex abscissa, inside an edge of
+    each chain, ties there; the sweep decides it without the pair kernel,
+    and stores the int that the two chains alone, meeting inside a slab,
+    get for it."""
     fams = _tie_families() + [_raw_xmono_family(seed) for seed in range(400)]
     calls = helpers.count_pair_scans(monkeypatch, *fams)
     entries = []
@@ -577,7 +578,7 @@ def test_a_lone_crossing_from_the_kernel_is_the_int_the_sweep_stores(monkeypatch
         for i, j, entry, t in _lone_crossings(fam):
             x = curves._point(t, scale).x
             if x in vxs and x not in {v.x for c in (cs[i], cs[j]) for v in c.vertices}:
-                assert frozenset((cs[i].cid, cs[j].cid)) in calls
+                assert frozenset((cs[i].cid, cs[j].cid)) not in calls
                 assert fam.subfamily([cs[i].cid, cs[j].cid]).contacts() == {1: entry}
                 entries.append(entry)
     assert len(entries) > 80 and len(set(entries)) > 3
@@ -598,14 +599,17 @@ def test_contacts_scans_few_more_pairs_than_meet(monkeypatch):
 
 
 def test_sweep_scans_only_the_touching_pairs(monkeypatch):
-    """On grounded k=3 the sweep hands the kernel exactly the 324 touching
-    pairs, once each and in map order; every crossing comes from a slab."""
-    fam = gen_grounded_family(3)
-    calls = helpers.count_pair_scans(monkeypatch, fam)
-    contacts = helpers.contact_entries(fam)
-    touching = [frozenset(key) for key, (_, data) in contacts.items() if any(kind == "touch" for _, kind in data)]
-    assert len(touching) == 324
-    assert calls == touching
+    """On grounded k=3 and on vee-fan 128 the sweep hands the kernel exactly
+    the touching pairs, 324 and 127, once each and in map order; it finds
+    every crossing itself, in a slab or at a tie on an abscissa."""
+    fams = [gen_grounded_family(3), gen_vee_fan(128)]
+    calls = helpers.count_pair_scans(monkeypatch, *fams)
+    for fam, count in zip(fams, (324, 127)):
+        calls.clear()
+        contacts = helpers.contact_entries(fam)
+        touching = [frozenset(key) for key, (_, data) in contacts.items() if any(kind == "touch" for _, kind in data)]
+        assert len(touching) == count
+        assert calls == touching
 
 
 def test_contacts_builds_no_crossing_triple_without_a_triple_point(monkeypatch):
@@ -730,16 +734,18 @@ def _differential_families():
     yield from helpers.xmono_adversarial_families()  # coordinates near 10^400 and 10^-400 among them
 
 
-def _meeting_on_an_abscissa(fam, contacts):
-    """The pairs of a contact map that share a point on a vertex abscissa of
-    the family (an overlap always does)."""
-    vxs = {v.x for c in fam.curves for v in c.vertices}
-    edges = [curves._int_segments(c.vertices, fam.scale) for c in fam.curves]
+def _kernel_pairs(fam, contacts):
+    """The pairs that the kernel must scan, from the family's map read by
+    `helpers.contact_entries`: the degenerate ones, and those with a common
+    point at a vertex of either chain or on two segments of one chain.  The
+    sweep decides every other pair's crossings, on an abscissa too."""
+    segs = {c.cid: c.scaled_segments(fam.scale) for c in fam.curves}
+    verts = {cid: {(s[u], s[u + 1], 1) for s in ss for u in (4, 6)} for cid, ss in segs.items()}
     return {
-        frozenset(fam.pair_ids(key))
-        for key, entry in contacts.items()
-        if type(entry) is str
-        or any(curves._point(t, fam.scale).x in vxs for t, _ in curves._decode(entry, *(edges[k] for k in divmod(key, len(fam)))))
+        frozenset(pair)
+        for pair, (status, data) in contacts.items()
+        if status == "degenerate"
+        or any(t in verts[c] or len(_through(segs[c], t)) > 1 for t, _ in data for c in pair)
     }
 
 
@@ -747,8 +753,9 @@ def test_sweep_map_equals_the_pair_path(monkeypatch):
     """On x-monotone families rich in ties the sweep's map is the pair
     kernel's on every pair (`helpers.dense_contacts`): keys and their order,
     triples, kinds and degenerate messages.  The sweep scans exactly the
-    pairs that meet on a vertex abscissa, which its exact keys find; a key
-    too coarse to tell two ordinates apart would add more."""
+    pairs that are degenerate or meet at a vertex of either chain, which its
+    exact keys find; a key too coarse to tell two ordinates apart would add
+    more."""
     ties = _tie_families() + [_raw_xmono_family(seed) for seed in range(400)]
     fams = list(_differential_families()) + ties
     calls = helpers.count_pair_scans(monkeypatch, *fams)
@@ -759,7 +766,7 @@ def test_sweep_map_equals_the_pair_path(monkeypatch):
         scanned = set(calls)
         dense = helpers.dense_contacts(fam)
         assert list(sweep.items()) == list(dense.items())
-        assert scanned == _meeting_on_an_abscissa(fam, dense)
+        assert scanned == _kernel_pairs(fam, helpers.contact_entries(fam))
     kinds = set().union(*map(_tie_kinds, ties))
     assert kinds == {
         "overlap",
@@ -838,6 +845,26 @@ def test_sweep_keys_abscissas_divided_by_their_common_factor():
     assert fams[-1].contacts() and validate_family(fams[-1]).non_simple == ["v3"]
 
 
+def test_a_triple_point_on_an_abscissa_counts_every_pair_through_it():
+    """Two chains cross inside an edge of each, on the abscissa of a vertex
+    of a third chain through that point: at that vertex, at the start of a
+    piece, or inside a vertical segment.  The third chain overlaps the
+    first elsewhere, so the point is a triple point only through the pair
+    that the sweep decides without the kernel, and it is still found."""
+    line, diagonal = [(-4, 0), (6, 0)], [(-2, 2), (2, -2)]
+    thirds = (
+        [(-3, 0), (-2, 0), (-1, 2), (0, 0), (1, 2)],
+        [(0, 0), (1, 3), (2, 3), (3, 0), (4, 0), (5, 0)],
+        [(0, -1), (0, 1), (1, 1), (4, 0), (5, 0)],
+    )
+    for third in thirds:
+        fam = CurveFamily([chain("a", *line), chain("b", *diagonal), chain("c", *third)])
+        rep = validate_family(fam)
+        assert [pair[:2] for pair in rep.degenerate_pairs] == [("a", "c")]
+        assert rep.triple_points == [(pt(0, 0), ("a", "b", "c"))]
+        assert (rep.triple_points, rep.endpoint_contacts) == helpers.shared_points_oracle(fam)
+
+
 def _reversed(fam, every=1):
     """The family with chains 0, every, 2*every, ... reversed."""
     return CurveFamily(
@@ -859,19 +886,18 @@ def _through(segs, t):
 
 def _jordan_kinds(fam, contacts):
     """(kinds, pairs): the kinds of meeting that the family's map holds, and
-    the pairs the kernel must scan: those that are degenerate, meet on a
-    vertex abscissa, or meet off the abscissas at a point on two segments
-    of one chain, which the sweep finds as one crossing twice."""
+    the pairs the kernel must scan (`_kernel_pairs`); a pair that meets at a
+    point on two segments of one chain is one, since the sweep finds one
+    crossing twice there."""
     segs = {c.cid: c.scaled_segments(fam.scale) for c in fam.curves}
     vxs = {x for ss in segs.values() for s in ss for x in s[:2]}
     turns = {}  # chain -> its vertices where x turns back, as grid triples
     for cid, ss in segs.items():
         ss = sorted(ss, key=lambda s: s[8])
         turns[cid] = {(s[6], s[7], 1) for s, u in zip(ss, ss[1:]) if (s[6] - s[4]) * (u[6] - u[4]) < 0}
-    kinds, scans = set(), set()
+    kinds = set()
     for (i, j), (status, data) in contacts.items():
         if status == "degenerate":
-            scans.add(frozenset((i, j)))
             if "overlap" in data and any(s[0] == s[1] for s in segs[i]):
                 walls = {(s[0], s[2], s[3]) for s in segs[i] if s[0] == s[1]}
                 if any(s[0] == s[1] == x and lo < s[3] and s[2] < hi for x, lo, hi in walls for s in segs[j]):
@@ -884,24 +910,20 @@ def _jordan_kinds(fam, contacts):
             for a, b in ((on_i, on_j), (on_j, on_i)):
                 if any(s[0] == s[1] for s in a) and any(s[0] < s[1] for s in b):
                     kinds.add("vertical on a sloped chain")
-            if t[0] % t[2] == 0 and t[0] // t[2] in vxs:
-                scans.add(frozenset((i, j)))
-            elif len(on_i) > 1 or len(on_j) > 1:
-                scans.add(frozenset((i, j)))
-                # two segments of one chain that cross there, not a turn-back onto itself
-                if any(
-                    (s[6] - s[4]) * (u[7] - u[5]) != (s[7] - s[5]) * (u[6] - u[4])
-                    for on in (on_i, on_j)
-                    for s, u in combinations(on, 2)
-                ):
-                    kinds.add("crossing repeated at a self-crossing point")
+            # off the abscissas, two segments of one chain that cross there, not a turn-back onto itself
+            if not (t[0] % t[2] == 0 and t[0] // t[2] in vxs) and any(
+                (s[6] - s[4]) * (u[7] - u[5]) != (s[7] - s[5]) * (u[6] - u[4])
+                for on in (on_i, on_j)
+                for s, u in combinations(on, 2)
+            ):
+                kinds.add("crossing repeated at a self-crossing point")
     spans = sorted((min(s[0] for s in ss), max(s[1] for s in ss)) for ss in segs.values())
     reach = spans[0][1] if spans else None
     for lo, hi in spans[1:]:
         if lo > reach:
             kinds.add("active set empties")
         reach = max(reach, hi)
-    return kinds, scans
+    return kinds, _kernel_pairs(fam, contacts)
 
 
 def test_sweep_map_equals_the_pair_kernel_on_families_that_are_not_x_monotone(monkeypatch):
@@ -919,6 +941,7 @@ def test_sweep_map_equals_the_pair_kernel_on_families_that_are_not_x_monotone(mo
         calls.clear()
         contacts = fam.contacts()
         scanned = set(calls)
+        assert len(calls) == len(scanned)  # no pair twice
         assert list(contacts.items()) == list(helpers.dense_contacts(fam).items())
         found, scans = _jordan_kinds(fam, helpers.contact_entries(fam))
         assert scanned == scans

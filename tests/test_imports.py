@@ -66,3 +66,24 @@ def test_src_imports_no_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, line, name) for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_src_private_names_are_all_used():
+    """Every module-level `_private` function or class of tanglab is
+    referenced somewhere in the package beyond its own definition: code
+    that nothing calls belongs in the tests, not in `src/`."""
+    defined, used = [], set()
+    for name, node in src_nodes():
+        if isinstance(node, ast.Module):
+            defined += [
+                (name, d.name)
+                for d in node.body
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name.startswith("_") and not d.name.endswith("__")
+            ]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    assert [(name, d) for name, d in defined if d not in used] == []
