@@ -245,9 +245,11 @@ def _grounded_attempt(k: int, quantum: Fraction, draws: List[int]) -> CurveFamil
 
 
 def gen_random_bipartite(n: int, c, seed: int) -> BipartiteGraph:
-    """G(n, n, p) with p = n^(-(2-c)/(3-c)), sampled exactly: an edge is kept
-    when a 64-bit draw r satisfies (r/2^64) < p, decided by the equivalent
-    integer comparison r^den * n^num < 2^(64*den)."""
+    """G(n, n, p) with p = n^(-(2-c)/(3-c)), sampled exactly.  A 64-bit draw r
+    means r/2^64 < p, i.e. r^den * n^num < 2^(64*den) for p's exponent num/den;
+    that is monotone in r, so it holds iff r < t, the least r that fails it.
+    t is found once by a 64-step integer bisection (one big-int power per step,
+    not one per draw), and the pairs (a, b) draw in row order, kept iff r < t."""
     if n < 2:
         raise ValueError("need n >= 2")
     c = Fraction(c)
@@ -255,14 +257,12 @@ def gen_random_bipartite(n: int, c, seed: int) -> BipartiteGraph:
         raise ValueError("need c in (1,2)")
     expo = Fraction(2 - c, 3 - c)
     num, den = expo.numerator, expo.denominator
-    rhs = (1 << (64 * den))
-    npow = n**num
-    rng = random.Random(seed)
-    edges = []
-    for a in range(n):
-        for b in range(n):
-            r = rng.getrandbits(64)
-            if r**den * npow < rhs:
-                edges.append((a, b))
+    rhs, npow = 1 << (64 * den), n**num
+    lo, t = 0, 1 << 64  # r = lo passes the test, r = t fails it
+    while t - lo > 1:
+        mid = (lo + t) // 2
+        lo, t = (mid, t) if mid**den * npow < rhs else (lo, mid)
+    draw = random.Random(seed).getrandbits
+    edges = [(a, b) for a in range(n) for b in range(n) if draw(64) < t]
     meta = {"n": n, "c": str(c), "seed": seed, "p": float(n) ** (-float(expo))}
     return BipartiteGraph(range(n), range(n), edges, meta)

@@ -172,11 +172,11 @@ def _check_flags(fam: CurveFamily, flags: List[str], path) -> None:
 
 def save_graph(g: BipartiteGraph, path) -> None:
     """Header 'A <m> B <n>', then one '<a> <b>' line per edge, 0-indexed by
-    position in each side's id list."""
-    ai = {a: i for i, a in enumerate(g.a_ids)}
+    position in each side's id list, in (a, b) order: one int sort per A row."""
     bi = {b: i for i, b in enumerate(g.b_ids)}
     lines = [f"A {len(g.a_ids)} B {len(g.b_ids)}"]
-    lines += [f"{a} {b}" for a, b in sorted((ai[a], bi[b]) for a, b in g.edges())]
+    for i, a in enumerate(g.a_ids):
+        lines += [f"{i} {j}" for j in sorted(map(bi.__getitem__, g.adj_a[a]))]
     save_lines(lines, path)
 
 

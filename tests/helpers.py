@@ -349,6 +349,38 @@ def random_bipartite_graph(seed, max_side=40, p=None):
     return BipartiteGraph(range(na), range(nb), edges)
 
 
+def random_bipartite_oracle(n, c, seed):
+    """The edges of gen_random_bipartite(n, c, seed) by its former per-draw
+    test: one big-int power r^den * n^num < 2^(64*den) for every draw r."""
+    from tanglab import BipartiteGraph
+
+    c = Fraction(c)
+    expo = Fraction(2 - c, 3 - c)
+    num, den = expo.numerator, expo.denominator
+    rhs = (1 << (64 * den))
+    npow = n**num
+    rng = random.Random(seed)
+    edges = []
+    for a in range(n):
+        for b in range(n):
+            r = rng.getrandbits(64)
+            if r**den * npow < rhs:
+                edges.append((a, b))
+    return BipartiteGraph(range(n), range(n), edges).edges()
+
+
+def save_graph_oracle(g, path):
+    """The former graph writer: each vertex's neighbours sorted by str, then
+    every (a, b) index pair sorted again."""
+    from tanglab.io import save_lines
+
+    ai = {a: i for i, a in enumerate(g.a_ids)}
+    bi = {b: i for i, b in enumerate(g.b_ids)}
+    lines = [f"A {len(g.a_ids)} B {len(g.b_ids)}"]
+    lines += [f"{a} {b}" for a, b in sorted((ai[a], bi[b]) for a, b in g.edges())]
+    save_lines(lines, path)
+
+
 def k22_edges_oracle(g):
     """Number of K_{2,2} subgraphs as a quarter of the sum, over edges ab, of
     the edges between N(b)\\{a} and N(a)\\{b}, counted on sets."""

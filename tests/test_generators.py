@@ -1,4 +1,5 @@
 import hashlib
+import types
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from tanglab import (
     validate_family,
 )
 from tanglab import generators
+from tanglab.cli import run
 from tanglab.generators import _extend_flat, _grounded_attempt, _grounded_draws, _off_grid_crossings
 from tanglab.io import save_family
 
@@ -183,6 +185,69 @@ def test_random_bipartite_deterministic():
     assert g1.edges() == g2.edges()
     g3 = gen_random_bipartite(40, F(3, 2), seed=10)
     assert g1.edges() != g3.edges()
+
+
+RANDOM_GRAPH_SHA256 = {
+    (128, F(3, 2), 101): "ffe95531517ac04cc1b9d855ebb699b49948f87dad8ab03787ce7cfb1f63a27c",
+    (512, F(3, 2), 5): "a990bccea25da35adadb50c6a8a207cdeefbadfc48d76f529e065703febfc9f0",
+    (48, F(7, 5), 7): "158fe1301816491ade334c3321eeb43174c8ae92d5a6ef020468c6fe964b4dda",
+    (40, F(5, 4), 9): "d04b8338c2e021ba4bcb4f77c96904c666348e4a5a49d2329dbe2df98a1c82a3",
+}
+
+
+@pytest.mark.parametrize("n, c, seed", list(RANDOM_GRAPH_SHA256), ids=str)
+def test_random_graph_file_is_pinned(tmp_path, n, c, seed):
+    """The files of `generate random-graph`, so a sampler that changes the draws fails."""
+    path = tmp_path / "g.txt"
+    argv = ["generate", "random-graph", "--n", str(n), "--c", str(c), "--seed", str(seed), "--out", str(path)]
+    assert run(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RANDOM_GRAPH_SHA256[n, c, seed]
+
+
+@pytest.mark.parametrize("c", [F(3, 2), F(7, 5), F(5, 4), F(4, 3), F(9, 5)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+def test_random_bipartite_matches_the_per_draw_test(n, c):
+    for seed in (0, 1, 29):
+        assert gen_random_bipartite(n, c, seed).edges() == helpers.random_bipartite_oracle(n, c, seed)
+
+
+def _least_failing_draw(n, c):
+    """The least r with r^den * n^num >= 2^(64*den): the ceiling of the den-th
+    root of ceil(2^(64*den) / n^num), by Newton's integer iteration."""
+    expo = Fraction(2 - c, 3 - c)
+    num, den = expo.numerator, expo.denominator
+    m = -(-(1 << (64 * den)) // n**num)
+    x = 1 << -(-m.bit_length() // den)  # >= the root
+    while True:
+        y = ((den - 1) * x + m // x ** (den - 1)) // den
+        if y >= x:
+            break
+        x = y
+    return x if x**den >= m else x + 1
+
+
+@pytest.mark.parametrize("n, c", [(2, F(3, 2)), (3, F(7, 5)), (17, F(9, 5)), (64, F(4, 3))], ids=str)
+def test_random_bipartite_keeps_a_draw_iff_it_is_below_the_threshold(monkeypatch, n, c):
+    t = _least_failing_draw(n, c)
+    expo = Fraction(2 - c, 3 - c)
+    assert (t - 1) ** expo.denominator * n**expo.numerator < 1 << (64 * expo.denominator) <= (
+        t**expo.denominator * n**expo.numerator
+    )
+
+    class Stream:
+        def __init__(self, seed):
+            self.draws = iter([t - 1, t, 0, (1 << 64) - 1])
+
+        def getrandbits(self, k):
+            assert k == 64
+            return next(self.draws, (1 << 64) - 1)
+
+    fake = types.SimpleNamespace(Random=Stream)
+    monkeypatch.setattr(generators, "random", fake)
+    monkeypatch.setattr(helpers, "random", fake)
+    want = [divmod(i, n) for i in (0, 2)]  # t - 1 and 0 kept; t and 2^64 - 1 dropped
+    assert helpers.random_bipartite_oracle(n, c, 0) == want
+    assert gen_random_bipartite(n, c, 0).edges() == want
 
 
 def test_random_bipartite_meta_and_density():

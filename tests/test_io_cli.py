@@ -16,6 +16,7 @@ from tanglab import (
     PolyChain,
     gen_doubling,
     gen_grounded_family,
+    gen_random_bipartite,
     gen_vee_fan,
     load_family,
     load_graph,
@@ -23,6 +24,7 @@ from tanglab import (
     save_graph,
     validate_family,
 )
+from tanglab.bipartite import h_plus, near_regularize
 from tanglab.cli import build_parser, run
 from tanglab.geom import rat
 from tanglab.io import FormatError
@@ -162,6 +164,29 @@ def test_graph_round_trip(tmp_path):
     back = load_graph(p)
     assert back.edges() == g.edges()
     assert p.read_text().splitlines()[0] == "A 3 B 4"
+
+
+def _writer_graphs():
+    g40 = gen_random_bipartite(40, F(3, 2), seed=3)  # str order "10" < "2" differs from index order
+    h = BipartiteGraph(range(12), range(11), [(a, b) for a in range(12) for b in range(11) if a * b % 5 == 1])
+    return {
+        "G(40,40)": g40,
+        "hplus": h_plus(h),  # str ids a', b' next to ints
+        "near_regularize": near_regularize(g40, 2)[0],
+        "isolated": BipartiteGraph(range(3), ["x", "y"], []),
+    }
+
+
+@pytest.mark.parametrize("name", list(_writer_graphs()))
+def test_save_graph_matches_the_two_sort_writer(tmp_path, name):
+    g = _writer_graphs()[name]
+    mine, theirs = tmp_path / "g.txt", tmp_path / "oracle.txt"
+    save_graph(g, mine)
+    helpers.save_graph_oracle(g, theirs)
+    assert mine.read_bytes() == theirs.read_bytes()
+    ai = {a: i for i, a in enumerate(g.a_ids)}
+    bi = {b: i for i, b in enumerate(g.b_ids)}
+    assert set(load_graph(mine).edges()) == {(ai[a], bi[b]) for a, b in g.edges()}
 
 
 def test_graph_edge_out_of_range(tmp_path):
